@@ -13,7 +13,7 @@ from importlib.resources import files
 from typing import NamedTuple
 
 from .errors import DomainError
-from .exact import TRUNC, Rational, SexNumber, int_sqrt, to_sexagesimal
+from .exact import BASE, TRUNC, Rational, SexNumber, _terminating_frac_len, int_sqrt, to_sexagesimal
 from .floating import SexFloat
 from .glyphs import GlyphError, decode_glyphs
 
@@ -185,10 +185,10 @@ def triple_from_generators(p: int, q: int) -> Triple:
 
 
 def _terminating_sexagesimal(x: Fraction) -> SexNumber:
-    reg = is_regular(x.denominator)
-    if not reg.is_regular:
-        raise DomainError(f"expansion of {x} does not terminate (denominator cofactor {reg.cofactor})")
-    frac_len = max((reg.exp2 + 1) // 2, reg.exp3, reg.exp5)
+    frac_len = _terminating_frac_len(x.denominator, BASE)
+    if frac_len is None:
+        cofactor = is_regular(x.denominator).cofactor
+        raise DomainError(f"expansion of {x} does not terminate (denominator cofactor {cofactor})")
     number, _ = to_sexagesimal(x, frac_len, TRUNC)
     return number
 

@@ -14,7 +14,7 @@ from importlib.resources import files
 from typing import NamedTuple
 
 from .errors import DomainError
-from .exact import BASE, TRUNC, parse_decimal
+from .exact import TRUNC, _digits_of_int, _int_of_digits, parse_decimal
 from .floating import normalize_float
 from .glyphs import DEFAULT_TABLE, GlyphTable, UnknownGlyphError
 
@@ -124,10 +124,7 @@ def _parse_scale(notation: str, table: GlyphTable) -> int:
     digits = _decode_digit_string(inner, table)
     if not digits:
         raise DomainError(f"empty exponent in {notation!r}")
-    value = 0
-    for d in digits:
-        value = value * BASE + d
-    return sign * value
+    return sign * _int_of_digits(digits)
 
 
 def _strip_trailing_zeros(digits: list[int]) -> list[int]:
@@ -159,12 +156,8 @@ def encode_scientific(
     if exponent == 0:
         notation = ""
     else:
-        mag = []
-        m = abs(exponent)
-        while m:
-            mag.append(table.glyph(m % BASE))
-            m //= BASE
-        notation = "10^{" + ("-" if exponent < 0 else "") + "".join(reversed(mag)) + "}"
+        mag = "".join(table.glyph(d) for d in _digits_of_int(abs(exponent)))
+        notation = "10^{" + ("-" if exponent < 0 else "") + mag + "}"
     return glyphs, exponent, notation
 
 

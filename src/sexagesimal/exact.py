@@ -25,8 +25,16 @@ HALF_UP = "half-up"
 HALF_EVEN = "half-even"
 ROUNDING_MODES = (TRUNC, HALF_UP, HALF_EVEN)
 
-# period detection gives up after this many distinct long-division remainders
+# Repetend detection gives up when the pre-period plus the period would be
+# longer than this many digits (that is, when long division would visit more
+# than this many distinct remainders).  Read at call time.
 PERIOD_STATE_BOUND = 10**6
+
+# Operands of more than this many bits are converted between int and digits
+# by divide and conquer on base**(leaf * 2**k), and their denominators split
+# into base primes by valuations; smaller ones keep the plain per-digit and
+# gcd loops, which are faster there.
+_DC_BITS = 512
 
 _ASCII_DIGITS = "0123456789"
 
@@ -124,14 +132,63 @@ def _round_quotient(num: int, den: int, mode: str) -> int:
     return q + (1 if (2 * r > den or (2 * r == den and q % 2 == 1)) else 0)
 
 
-def _digits_of_int(n: int, base: int = BASE) -> tuple[int, ...]:
-    if n == 0:
-        return (0,)
+def _digits_of_int(n: int, base: int = BASE, width: int = 1) -> list[int]:
+    """Digits of ``n >= 0`` in ``base``, most significant first, left-padded
+    with zeros to ``width`` digits when shorter (zero has no digits of its
+    own, so it comes back as ``width`` zeros)."""
+    if n.bit_length() <= _DC_BITS:
+        out = []
+        while n:
+            n, d = divmod(n, base)
+            out.append(d)
+        out.extend([0] * (width - len(out)))
+        out.reverse()
+        return out
+    leaf = _DC_BITS // base.bit_length()  # so base**leaf < 2**_DC_BITS
+    powers = [base**leaf]  # powers[k] = base**(leaf * 2**k)
+    while powers[-1] <= n:
+        powers.append(powers[-1] * powers[-1])
     out = []
-    while n:
-        n, d = divmod(n, base)
-        out.append(d)
-    return tuple(reversed(out))
+
+    def split(n: int, k: int, pad: bool):
+        # the digits of n < powers[k]: all leaf * 2**k of them when pad, else
+        # without leading zeros
+        if k == 0 or (pad and not n):
+            out.extend(_digits_of_int(n, base, leaf << k if pad else 0))
+            return
+        hi, lo = divmod(n, powers[k - 1])
+        if hi or pad:
+            split(hi, k - 1, pad)
+            pad = True
+        split(lo, k - 1, pad)
+
+    split(n, len(powers) - 1, False)
+    if len(out) < width:
+        out[:0] = [0] * (width - len(out))
+    return out
+
+
+def _int_of_digits(digits, base: int = BASE) -> int:
+    """Value of a digit sequence, most significant first (the inverse of
+    `_digits_of_int`): Horner's rule on leaves of digits, then pairwise
+    products with base**(leaf * 2**k)."""
+    leaf = _DC_BITS // base.bit_length()
+    values = []
+    start = 0
+    for stop in range(len(digits) % leaf, len(digits) + 1, leaf):
+        value = 0
+        for d in digits[start:stop]:
+            value = value * base + d
+        values.append(value)
+        start = stop
+    if len(values) == 1:
+        return values[0]
+    power = base**leaf
+    while len(values) > 1:
+        odd = len(values) % 2  # an unpaired value is the most significant
+        values[odd:] = [hi * power + lo for hi, lo in zip(values[odd::2], values[odd + 1 :: 2])]
+        power *= power
+    return values[0]
 
 
 @dataclass(frozen=True)
@@ -232,10 +289,7 @@ class SexNumber:
 def from_sexagesimal(x: SexNumber) -> Fraction:
     """Exact rational value of a positional numeral (inverse of
     `to_sexagesimal` on terminating inputs)."""
-    value = 0
-    for d in x.digits:
-        value = value * BASE + d
-    return Fraction(x.sign * value, BASE**x.frac_count)
+    return Fraction(x.sign * _int_of_digits(x.digits), BASE**x.frac_count)
 
 
 @dataclass(frozen=True)
@@ -293,72 +347,120 @@ class Expansion:
         return ("-" if self.sign < 0 else "") + text
 
 
-def _terminating_frac_len(den: int, base: int) -> int | None:
-    """Exact count of fractional digits of 1/den in ``base``, or None when
-    the expansion does not terminate (den carries a prime not in base).
+def _valuation(n: int, p: int) -> tuple[int, int]:
+    """(v, n // p**v) for the largest v with p**v | n, found by dividing out
+    p**(2**j) from the largest j down: O(log v) big divisions, not v."""
+    powers = []
+    q = p
+    while n % q == 0:
+        powers.append(q)
+        q *= q
+    v = 0
+    for j in reversed(range(len(powers))):
+        quotient, r = divmod(n, powers[j])
+        if r == 0:
+            n = quotient
+            v += 1 << j
+    return v, n
+
+
+def _split_denominator(den: int, base: int) -> tuple[int, int]:
+    """(k, t) with den = s * t, s made of the primes of ``base`` and t coprime
+    to it; k is the least k with s | base**k, which is the pre-period length
+    of every reduced fraction over den.
 
     Dividing by gcd(den, base) once per step lowers every prime exponent by
-    at most one base's worth, so the step count is the minimal k with
-    den | base**k.
+    at most one base's worth, so the step count is k; past `_DC_BITS` the
+    exponents come from valuations instead, k = max ceil(v_p / e_p) over
+    the primes p**e_p of base.
     """
+    if den.bit_length() <= _DC_BITS:
+        k = 0
+        while (g := math.gcd(den, base)) > 1:
+            den //= g
+            k += 1
+        return k, den
     k = 0
-    while den > 1:
-        g = math.gcd(den, base)
-        if g == 1:
-            return None
-        den //= g
-        k += 1
-    return k
+    p, rest = 2, base
+    while rest > 1:
+        e = 0
+        while rest % p == 0:
+            rest //= p
+            e += 1
+        if e:
+            v, den = _valuation(den, p)
+            k = max(k, -(-v // e))
+        p += 1
+    return k, den
+
+
+def _terminating_frac_len(den: int, base: int) -> int | None:
+    """Exact count of fractional digits of 1/den in ``base``, or None when
+    the expansion does not terminate (den carries a prime not in base)."""
+    k, rest = _split_denominator(den, base)
+    return k if rest == 1 else None
+
+
+def _repetend(rem: int, den: int, base: int, preperiod: int, max_frac: int):
+    """(frac_digits, period, complete) of rem/den, for 0 < rem < den and a
+    den that carries a prime not in ``base``.
+
+    The pre-period digits are one exact quotient; then long division walks
+    from the first periodic remainder until it comes back, keeping only the
+    digits it emits.  When pre-period plus period would exceed
+    `PERIOD_STATE_BOUND` digits the search gives up, and the first
+    min(max_frac, bound) digits come back unresolved.
+    """
+    bound = PERIOD_STATE_BOUND
+    shown = min(max_frac, bound)
+    if preperiod >= bound:
+        # gives up within the pre-period: emit only the digits kept
+        return _digits_of_int(rem * base**shown // den, base, shown), (), False
+    head, start = divmod(rem * base**preperiod, den)
+    frac = _digits_of_int(head, base, preperiod)
+    walk = bytearray()  # digits of base <= 256 fit a byte each
+    r = start
+    for _ in range(bound - preperiod):
+        d, r = divmod(r * base, den)
+        walk.append(d)
+        if r == start:
+            return frac, tuple(walk), True
+    return (frac + list(walk[:shown]))[:shown], (), False
 
 
 def _expand(x: Fraction, base: int, max_frac: int, detect_repetend: bool) -> Expansion:
     num, den = abs(x.numerator), x.denominator
     sign = 0 if num == 0 else (1 if x.numerator > 0 else -1)
-    int_digits = _digits_of_int(num // den, base)
-    rem = num % den
-    frac_len = _terminating_frac_len(den, base)
-    terminates = frac_len is not None
-
-    digits: list[int] = []
+    preperiod, rest = _split_denominator(den, base)
+    terminates = rest == 1
     period: tuple[int, ...] = ()
-    complete = False
-    if rem == 0:
+    if terminates:
+        # den | base**preperiod, so this is num / den * base**preperiod exactly
+        digits = _digits_of_int(num * (base**preperiod // den), base, preperiod + 1)
+        cut = len(digits) - preperiod
+        int_digits, frac = digits[:cut], digits[cut:]
         complete = True
-    elif terminates:
-        while rem:
-            rem *= base
-            digits.append(rem // den)
-            rem %= den
-        complete = True
-    elif detect_repetend:
-        seen: dict[int, int] = {}
-        while rem not in seen:
-            if len(seen) >= PERIOD_STATE_BOUND:
-                digits = digits[:max_frac]
-                break
-            seen[rem] = len(digits)
-            rem *= base
-            digits.append(rem // den)
-            rem %= den
-        else:
-            start = seen[rem]
-            period = tuple(digits[start:])
-            digits = digits[:start]
-            complete = True
     else:
-        while rem and len(digits) < max_frac:
-            rem *= base
-            digits.append(rem // den)
-            rem %= den
+        int_digits = _digits_of_int(num // den, base)
+        rem = num % den
+        if detect_repetend:
+            frac, period, complete = _repetend(rem, den, base, preperiod, max_frac)
+        else:
+            frac = []
+            while len(frac) < max_frac:
+                rem *= base
+                frac.append(rem // den)
+                rem %= den
+            complete = False
 
     return Expansion(
         sign=sign,
-        int_digits=int_digits,
-        frac_digits=tuple(digits),
+        int_digits=tuple(int_digits),
+        frac_digits=tuple(frac),
         period=period,
         base=base,
         terminates=terminates,
-        frac_len=frac_len,
+        frac_len=preperiod if terminates else None,
         complete=complete,
     )
 
@@ -376,19 +478,25 @@ def to_sexagesimal(
         raise DomainError("max_frac must be non-negative")
     _check_mode(mode)
     x = Fraction(x)
+    info = _expand(x, BASE, max_frac, detect_repetend)
+    if info.terminates_within(max_frac):
+        # exact at this budget: the expansion's digits are the number's
+        return SexNumber.from_digits(info.sign, info.int_digits + info.frac_digits, info.frac_len), info
     scaled = _round_quotient(abs(x.numerator) * BASE**max_frac, x.denominator, mode)
     sign = 0 if scaled == 0 else (1 if x.numerator > 0 else -1)
-    number = SexNumber._from_scaled(sign, scaled, max_frac)
-    return number, _expand(x, BASE, max_frac, detect_repetend)
+    return SexNumber._from_scaled(sign, scaled, max_frac), info
 
 
 def to_decimal(x: Fraction, max_frac: int = 64, detect_repetend: bool = True) -> Expansion:
     """Exact decimal expansion of a rational.
 
     When the expansion repeats and ``detect_repetend`` is set, the minimal
-    repetend is found by long-division cycle detection (bounded by
-    `PERIOD_STATE_BOUND` distinct remainders; past the bound the result is
-    marked incomplete and truncated at ``max_frac`` digits).
+    repetend is found by long division from the first periodic remainder
+    until that remainder recurs; the pre-period length comes from the
+    denominator's factors of 2 and 5.  Time and memory are linear in the
+    digits emitted.  When pre-period plus period would exceed
+    `PERIOD_STATE_BOUND` digits the result is marked incomplete and
+    truncated at ``max_frac`` digits.
     """
     if max_frac < 0:
         raise DomainError("max_frac must be non-negative")

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
-from .exact import BASE, TRUNC, SexNumber, _check_mode, _round_quotient
+from .exact import BASE, TRUNC, SexNumber, _check_mode, _digits_of_int, _int_of_digits, _round_quotient
 
 
 @dataclass(frozen=True)
@@ -43,10 +43,8 @@ class SexFloat:
         return len(self.mantissa)
 
     def to_rational(self) -> Fraction:
-        value = 0
-        for d in self.mantissa:
-            value = value * BASE + d
-        return Fraction(self.sign * value, BASE**self.precision) * Fraction(BASE) ** self.exponent
+        value = Fraction(self.sign * _int_of_digits(self.mantissa), BASE**self.precision)
+        return value * Fraction(BASE) ** self.exponent
 
     def to_sex_number(self) -> SexNumber:
         """Lay the mantissa out positionally (exact; trailing zeros dropped)."""
@@ -119,12 +117,7 @@ def normalize_float(x: Fraction, precision: int, mode: str = TRUNC) -> SexFloat:
     if m == BASE**precision:
         m //= BASE
         e += 1
-    digits = []
-    for _ in range(precision):
-        m, d = divmod(m, BASE)
-        digits.append(d)
-    digits.reverse()
-    return SexFloat(1 if x > 0 else -1, tuple(digits), e)
+    return SexFloat(1 if x > 0 else -1, tuple(_digits_of_int(m, width=precision)), e)
 
 
 def machine_epsilon(precision: int) -> Fraction:

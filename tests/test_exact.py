@@ -1,11 +1,16 @@
 """Rational parsing/arithmetic and exact base-60 / base-10 expansion."""
 
+import math
+import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import nonzero_rationals, rationals, sex_numbers
+from sexagesimal import exact
+from sexagesimal.exact import _DC_BITS, _digits_of_int, _int_of_digits, _terminating_frac_len
 from sexagesimal import (
     HALF_EVEN,
     HALF_UP,
@@ -145,18 +150,28 @@ class TestSexNumber:
             SexNumber(sign, digits, frac)
 
 
-def _longdiv_base60(num, den, limit=500):
+def _longdiv(num, den, base=60, limit=500):
     """Independent long-division oracle: fractional digits plus repetend."""
     digits, seen, rem = [], {}, num % den
     while rem and rem not in seen and len(digits) < limit:
         seen[rem] = len(digits)
-        rem *= 60
+        rem *= base
         digits.append(rem // den)
         rem %= den
     if rem == 0:
         return digits, []
     start = seen[rem]
     return digits[:start], digits[start:]
+
+
+def _frac_stream(num, den, base, count):
+    """The first ``count`` fractional digits of num/den by long division."""
+    digits, rem = [], num % den
+    for _ in range(count):
+        rem *= base
+        digits.append(rem // den)
+        rem %= den
+    return digits
 
 
 class TestToSexagesimal:
@@ -172,7 +187,7 @@ class TestToSexagesimal:
         assert info.terminates and info.frac_len == 1
 
     def test_one_seventh_repetend(self):
-        pre_oracle, period_oracle = _longdiv_base60(1, 7)
+        pre_oracle, period_oracle = _longdiv(1, 7)
         number, info = to_sexagesimal(Fraction(1, 7), 6, detect_repetend=True)
         assert period_oracle == [8, 34, 17]
         assert info.period == tuple(period_oracle)
@@ -300,3 +315,148 @@ class TestInvariants:
             for block in range(1, size):
                 if size % block == 0:
                     assert period != period[:block] * (size // block), f"1/{q}"
+
+
+def _naive_digits(n, base, width=1):
+    """Digits by one divmod per digit: the plain loop the kernel must match."""
+    digits = []
+    while n:
+        n, d = divmod(n, base)
+        digits.append(d)
+    digits += [0] * (width - len(digits))
+    return digits[::-1]
+
+
+def _naive_int(digits, base):
+    value = 0
+    for d in digits:
+        value = value * base + d
+    return value
+
+
+class TestDigitKernel:
+    # the divide-and-conquer path starts above _DC_BITS bits and splits on
+    # base**(leaf * 2**k); these sizes straddle the cutoff and the splits
+    @pytest.mark.parametrize("base", [10, 60])
+    def test_edges_against_naive_loops(self, base):
+        leaf = _DC_BITS // base.bit_length()
+        lengths = {1, 2, leaf - 1, leaf, leaf + 1, 2 * leaf, 4 * leaf - 1, 4 * leaf + 1, 8 * leaf + 3,
+                   33 * leaf}
+        values = [0, 1, base - 1, 2**_DC_BITS - 1, 2**_DC_BITS, 2**_DC_BITS + 1]
+        for k in sorted(lengths):
+            # b**k - 1 is all (base - 1); b**k and b**k + 1 leave zero high
+            # halves below the top split, and 7 * b**k + 3 zero middles
+            values += [base**k - 1, base**k, base**k + 1, 7 * base**k + 3]
+        for n in values:
+            digits = _naive_digits(n, base)
+            assert _digits_of_int(n, base) == digits, n
+            assert _int_of_digits(digits, base) == n
+            for extra in (1, leaf + 5):
+                padded = _digits_of_int(n, base, len(digits) + extra)
+                assert padded == [0] * extra + digits
+                assert _int_of_digits(padded, base) == n
+        assert _digits_of_int(0, base, 0) == []
+        assert _int_of_digits([], base) == 0
+
+    @given(st.sampled_from([10, 60]), st.integers(1, 40), st.integers(0, 2**32), st.booleans())
+    def test_random_against_naive_loops(self, base, leaves, seed, zero_run):
+        leaf = _DC_BITS // base.bit_length()
+        rng = random.Random(seed)
+        length = rng.randrange(max(1, (leaves - 1) * leaf), leaves * leaf + 2)
+        digits = [rng.randrange(1, base)] + [rng.randrange(base) for _ in range(length - 1)]
+        if zero_run:
+            start = rng.randrange(1, length + 1)
+            stop = rng.randrange(start, length + 1)
+            digits[start:stop] = [0] * (stop - start)
+        n = _naive_int(digits, base)
+        assert _int_of_digits(digits, base) == n
+        assert _digits_of_int(n, base) == digits
+        width = length + rng.randrange(0, 3 * leaf)
+        assert _digits_of_int(n, base, width) == _naive_digits(n, base, width)
+
+    def test_round_trip_10k_sexagesits(self):
+        rng = random.Random(10_000)
+        digits = [rng.randrange(1, 60)] + [rng.randrange(60) for _ in range(9_998)] + [rng.randrange(1, 60)]
+        x = SexNumber(-1, tuple(digits), 4_321)
+        number, info = to_sexagesimal(from_sexagesimal(x), x.frac_count)
+        assert number == x
+        assert info.terminates and info.frac_len == 4_321
+        assert info.int_digits + info.frac_digits == x.digits
+
+
+def _gcd_frac_len(den, base):
+    k = 0
+    while (g := math.gcd(den, base)) > 1:
+        den //= g
+        k += 1
+    return k if den == 1 else None
+
+
+class TestTerminatingLength:
+    @pytest.mark.parametrize("base", [10, 60])
+    @pytest.mark.parametrize(
+        "exps,cofactor",
+        [
+            ((700, 0, 0), 1), ((0, 900, 0), 1), ((0, 0, 800), 1), ((1501, 333, 2), 1),
+            ((640, 1, 640), 7), ((0, 0, 0), 2**600 + 1),
+        ],
+    )
+    def test_large_denominators_match_gcd_loop(self, base, exps, cofactor):
+        den = 2 ** exps[0] * 3 ** exps[1] * 5 ** exps[2] * cofactor
+        assert den.bit_length() > _DC_BITS
+        assert _terminating_frac_len(den, base) == _gcd_frac_len(den, base)
+
+    @pytest.mark.parametrize("base", [10, 60])
+    def test_long_preperiod_against_oracle(self, base):
+        x = Fraction(3, 2**1500 * 7)
+        pre, period = _longdiv(3, x.denominator, base, limit=2000)
+        info = to_decimal(x) if base == 10 else to_sexagesimal(x, 4, detect_repetend=True)[1]
+        assert info.frac_digits == tuple(pre)
+        assert info.period == tuple(period)
+
+
+class TestPeriodStateBound:
+    # non-terminating in at least one base; 5 / 486 terminates in base 60.
+    # 1 / (2**40 * 7) and 1 / (5**45 * 13) have pre-periods that alone reach
+    # every bound tried in one base or both
+    VALUES = [
+        Fraction(1, 7), Fraction(-22, 7), Fraction(7833, 268), Fraction(1, 3), Fraction(5, 486),
+        Fraction(1, 59), Fraction(1, 61), Fraction(1, 2**40 * 7), Fraction(1, 5**45 * 13),
+    ]
+
+    @pytest.mark.parametrize("base", [10, 60])
+    def test_give_up_iff_preperiod_plus_period_exceeds_bound(self, base, monkeypatch):
+        for bound in range(1, 41):
+            monkeypatch.setattr(exact, "PERIOD_STATE_BOUND", bound)
+            for x in self.VALUES:
+                num, den = abs(x.numerator), x.denominator
+                pre, period = _longdiv(num, den, base)
+                for max_frac in (0, 1, 7, 50):
+                    if base == 10:
+                        info = to_decimal(x, max_frac)
+                    else:
+                        info = to_sexagesimal(x, max_frac, detect_repetend=True)[1]
+                    if not period or len(pre) + len(period) <= bound:
+                        assert info.complete
+                        assert (info.frac_digits, info.period) == (tuple(pre), tuple(period))
+                    else:
+                        assert not info.complete and info.period == ()
+                        shown = min(max_frac, bound)
+                        assert info.frac_digits == tuple(_frac_stream(num, den, base, shown))
+                        assert str(info).endswith("...")
+
+    def test_preperiod_alone_reaches_bound(self, monkeypatch):
+        monkeypatch.setattr(exact, "PERIOD_STATE_BOUND", 1)
+        assert str(to_decimal(Fraction(7833, 268), 50)) == "29.2..."
+
+    def test_repetend_memory_is_linear_in_digits(self):
+        # 1/100003 has a 50001-digit decimal period; a table of the visited
+        # remainders peaks near 7 MB on CPython 3.11, the digits alone near 1 MB
+        tracemalloc.start()
+        try:
+            info = to_decimal(Fraction(1, 100003))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert info.complete and len(info.period) == 50_001
+        assert peak < 4_000_000
