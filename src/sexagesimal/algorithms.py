@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from .errors import DomainError
 from .exact import BASE, TRUNC, Rational, SexNumber, _terminating_frac_len, int_sqrt, to_sexagesimal
-from .floating import SexFloat
+from .floating import SexFloat, _magnitude_exponent
 from .glyphs import GlyphError, decode_glyphs
 
 HERON_ITERATION_CAP = 1000
@@ -98,16 +98,22 @@ def heron_sqrt(
     60**(-precision).
 
     The result is the final iterate truncated to ``precision`` fractional
-    sexagesits and normalized; ``start`` defaults to the integer square
-    root of floor(x) (at least 1).
+    sexagesits and normalized.  ``start`` defaults to isqrt(floor(x)) for
+    x >= 1, and for x < 1 to isqrt(floor(x * 60**(2k))) / 60**k with k the
+    least k >= 1 such that x * 60**(2k) >= 60**2: a root of at least two
+    sexagesits, so the start is within one sexagesit of sqrt(x).
     """
     x = Fraction(x)
     if x <= 0:
         raise DomainError("square root requires a positive value")
     if precision < 1:
         raise DomainError("precision must be at least 1")
-    if start is None:
-        cur = Fraction(max(1, math.isqrt(int(x))))
+    if start is None and x >= 1:
+        cur = Fraction(math.isqrt(int(x)))
+    elif start is None:
+        # with 60**(e-1) <= x < 60**e, k = ceil((3 - e) / 2)
+        scale = BASE ** ((4 - _magnitude_exponent(x)) // 2)
+        cur = Fraction(math.isqrt(x.numerator * scale * scale // x.denominator), scale)
     else:
         cur = Fraction(start)
         if cur <= 0:

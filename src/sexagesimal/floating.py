@@ -82,18 +82,11 @@ class SexFloat:
 def _magnitude_exponent(x: Fraction) -> int:
     """The unique e with 60**(e-1) <= |x| < 60**e, for x != 0."""
     num, den = abs(x.numerator), x.denominator
-    e = 0
     if num >= den:
-        q = num // den
-        while q:
-            q //= BASE
-            e += 1
-    else:
-        while num < den:
-            num *= BASE
-            e -= 1
-        e += 1
-    return e
+        return len(_digits_of_int(num // den, width=0))
+    # (den - 1) // num = ceil(1/|x|) - 1 has L digits exactly when
+    # 60**-L <= |x| < 60**(1-L)
+    return 1 - len(_digits_of_int((den - 1) // num, width=0))
 
 
 def normalize_float(x: Fraction, precision: int, mode: str = TRUNC) -> SexFloat:

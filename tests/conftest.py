@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import settings, strategies as st
 
+import sexagesimal
 from sexagesimal import SexNumber
 
 settings.register_profile("suite", max_examples=60, deadline=None)
@@ -29,4 +34,16 @@ def nonzero_rationals():
     return rationals().filter(lambda f: f != 0)
 
 
-__all__ = ["sex_numbers", "rationals", "nonzero_rationals", "Fraction"]
+def run_python(args, timeout):
+    """Run a fresh interpreter on ``args`` with the package under test on its
+    path. A run still going after ``timeout`` seconds is killed and raises
+    `subprocess.TimeoutExpired`, so a hang fails the test instead of
+    holding the suite."""
+    src = str(Path(sexagesimal.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, encoding="utf-8", timeout=timeout, env=env
+    )
+
+
+__all__ = ["sex_numbers", "rationals", "nonzero_rationals", "run_python", "Fraction"]

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import run_python
 from sexagesimal import (
     DomainError,
     PlimptonRow,
@@ -71,11 +72,11 @@ class TestHeronSqrt:
     @settings(max_examples=30)
     @given(
         st.fractions(min_value=Fraction(1, 1000), max_value=10**6, max_denominator=1000),
-        st.sampled_from(["one", "self"]),
+        st.sampled_from(["one", "self", "default"]),
         st.integers(2, 8),
     )
     def test_convergence_properties(self, a, start_kind, precision):
-        start = Fraction(1) if start_kind == "one" else a
+        start = {"one": Fraction(1), "self": a, "default": _documented_start(a)}[start_kind]
         eps = Fraction(1, 60**precision)
 
         # independent re-run of the recurrence, tracking every residual
@@ -99,15 +100,74 @@ class TestHeronSqrt:
         tail = residuals[1:]
         assert all(tail[i + 1] < tail[i] for i in range(len(tail) - 1) if tail[i] != 0)
 
-        result = heron_sqrt(a, start, precision)
+        result = heron_sqrt(a, None if start_kind == "default" else start, precision)
         assert result.iterations == len(residuals)
         assert result.residual == residuals[-1]
 
-        # |v^2 - a| < 2*eps*sqrt(a) + eps^2, checked without leaving rationals:
-        # lhs - eps^2 <= 0, or (lhs - eps^2)^2 < 4 eps^2 a
-        v = result.value.to_rational()
-        lhs = abs(v * v - a) - eps * eps
-        assert lhs <= 0 or lhs * lhs < 4 * eps * eps * a
+        _assert_precision_contract(result, a, precision)
+
+    @given(
+        st.integers(1, 12)
+        .flatmap(lambda d: st.integers(1, 10**d - 1).map(lambda m: Fraction(m, 10**d)))
+        .filter(lambda x: x > Fraction(1, 10**12)),
+        st.integers(1, 32),
+    )
+    def test_sub_unit_default_start_meets_precision_contract(self, x, precision):
+        _assert_precision_contract(heron_sqrt(x, precision=precision), x, precision)
+
+    @given(st.integers(1, 10**30), st.integers(1, 16))
+    def test_integer_default_start_is_isqrt(self, x, precision):
+        default = heron_sqrt(x, precision=precision)
+        explicit = heron_sqrt(x, start=math.isqrt(x), precision=precision)
+        assert (default.value, default.iterations, default.residual) == (
+            explicit.value,
+            explicit.iterations,
+            explicit.residual,
+        )
+
+    # a start within one sexagesit has relative error at most 1/60, and each
+    # step squares the relative error and halves it, so the iteration count
+    # is bounded: 4 steps reach 60^-8 at sqrt(x) = 1e-4, and 6 reach 60^-32
+    # at sqrt(x) = 0.0112.  The start 1 of earlier versions took 18 and 14
+    # steps, each doubling the size of the exact iterate.
+    @pytest.mark.parametrize(
+        "x, precision, max_iterations",
+        [(Fraction(1, 10**8), 8, 4), (Fraction(126, 10**6), 32, 6)],
+    )
+    def test_sub_unit_default_start_deadline(self, x, precision, max_iterations):
+        code = (
+            "import time\n"
+            "from fractions import Fraction\n"
+            "from sexagesimal import heron_sqrt\n"
+            "start = time.perf_counter()\n"
+            f"result = heron_sqrt(Fraction({x.numerator}, {x.denominator}), precision={precision})\n"
+            "print(time.perf_counter() - start, result.iterations)\n"
+        )
+        proc = run_python(["-c", code], timeout=10)
+        assert proc.returncode == 0, proc.stderr
+        elapsed, iterations = proc.stdout.split()
+        assert float(elapsed) < 1.0
+        assert int(iterations) <= max_iterations
+
+
+def _documented_start(a):
+    # isqrt(floor(a)) for a >= 1; below 1, the least k >= 1 with
+    # a * 60^(2k) >= 60^2 and isqrt(floor(a * 60^(2k))) / 60^k
+    if a >= 1:
+        return Fraction(math.isqrt(math.floor(a)))
+    k = 1
+    while a * 60 ** (2 * k) < 60**2:
+        k += 1
+    return Fraction(math.isqrt(math.floor(a * 60 ** (2 * k))), 60**k)
+
+
+def _assert_precision_contract(result, a, precision):
+    # |v^2 - a| < 2*eps*sqrt(a) + eps^2, checked without leaving rationals:
+    # lhs - eps^2 <= 0, or (lhs - eps^2)^2 < 4 eps^2 a
+    eps = Fraction(1, 60**precision)
+    v = result.value.to_rational()
+    lhs = abs(v * v - a) - eps * eps
+    assert lhs <= 0 or lhs * lhs < 4 * eps * eps * a
 
 
 class TestHeronArea:

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import run_python
 from sexagesimal.cli import main
 
 DATA = Path(__file__).parent / "data" / "cli"
@@ -156,3 +157,11 @@ def test_stderr_clean_on_success(capsys):
     assert main(["area", "3", "4", "5"]) == 0
     captured = capsys.readouterr()
     assert captured.err == ""
+
+
+def test_sqrt_of_small_value_finishes():
+    # from the start 1 the exact iterates doubled in size for 18 steps
+    proc = run_python(["-m", "sexagesimal", "sqrt", "--p", "8", "0.00000001"], timeout=5)
+    assert proc.returncode == 0
+    assert proc.stdout == "0;0:0:21:36 (1 iterations)\n"
+    assert proc.stderr == ""

@@ -1,5 +1,6 @@
 """Normalized base-60 float model and machine epsilon."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,9 @@ from sexagesimal import (
     machine_epsilon,
     normalize_float,
     to_decimal,
+    to_sexagesimal,
 )
+from sexagesimal.floating import _magnitude_exponent
 
 
 class TestNormalizeFloat:
@@ -74,6 +77,59 @@ class TestNormalizeFloat:
         longer = normalize_float(x, 3, HALF_UP)
         assert short.mantissa == (1, 0) and short.exponent == 1
         assert longer.mantissa == (59, 59, 30) and longer.exponent == 0
+
+
+def _naive_magnitude_exponent(x):
+    # one division or multiplication by 60 per sexagesit of magnitude
+    num, den = abs(x.numerator), x.denominator
+    e = 0
+    if num >= den:
+        q = num // den
+        while q:
+            q //= 60
+            e += 1
+        return e
+    while num < den:
+        num *= 60
+        e -= 1
+    return e + 1
+
+
+def _best_of_3(call):
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        call()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+class TestMagnitudeExponent:
+    def test_powers_of_sixty_boundaries(self):
+        tiny = Fraction(1, 10**120)
+        for k in range(-60, 61):
+            power = Fraction(60) ** k
+            for x in (power - tiny, power, power + tiny):
+                assert _magnitude_exponent(x) == _magnitude_exponent(-x) == _naive_magnitude_exponent(x)
+            assert _magnitude_exponent(power) == k + 1
+            assert _magnitude_exponent(power - tiny) == k
+
+    @given(nonzero_rationals())
+    def test_small_against_naive_loop(self, x):
+        assert _magnitude_exponent(x) == _naive_magnitude_exponent(x)
+
+    @given(st.integers(1, 10**400), st.integers(1, 10**400))
+    def test_large_against_naive_loop(self, num, den):
+        x = Fraction(num, den)
+        assert _magnitude_exponent(x) == _naive_magnitude_exponent(x)
+
+    def test_large_operand_costs_about_one_conversion(self):
+        # counting sexagesits one division at a time made this about ten
+        # times the cost of converting the same value to digits
+        x = Fraction(7**20000)
+        convert = _best_of_3(lambda: to_sexagesimal(x, 8))
+        normalize = _best_of_3(lambda: normalize_float(x, 8))
+        assert normalize < 3 * convert
 
 
 class TestSexFloatConversions:
