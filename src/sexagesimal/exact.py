@@ -9,6 +9,7 @@ Canonical base-60 text writes sexagesits as decimal numbers separated by
 ``:`` with ``;`` as the radix point, e.g. ``1;59:0:15`` or ``2:49``.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,7 +28,9 @@ ROUNDING_MODES = (TRUNC, HALF_UP, HALF_EVEN)
 
 # Repetend detection gives up when the pre-period plus the period would be
 # longer than this many digits (that is, when long division would visit more
-# than this many distinct remainders).  Read at call time.
+# than this many distinct remainders).  Read at call time.  Deciding costs
+# about 3 * sqrt(bound) steps, not one per digit: a short walk plus a
+# baby-step giant-step search for the period's length (see `_repetend`).
 PERIOD_STATE_BOUND = 10**6
 
 # Operands of more than this many bits are converted between int and digits
@@ -37,6 +40,11 @@ PERIOD_STATE_BOUND = 10**6
 _DC_BITS = 512
 
 _ASCII_DIGITS = "0123456789"
+
+# `_emit_digits` blocks: decimal digits per "%d" block (far below CPython's
+# int-string limit), and ASCII digits to digit values
+_DEC_BLOCK = 300
+_ASCII_TO_DIGIT = bytes.maketrans(_ASCII_DIGITS.encode(), bytes(range(10)))
 
 
 class DecimalParseError(ParseError):
@@ -401,14 +409,79 @@ def _terminating_frac_len(den: int, base: int) -> int | None:
     return k if rest == 1 else None
 
 
-def _repetend(rem: int, den: int, base: int, preperiod: int, max_frac: int):
-    """(frac_digits, period, complete) of rem/den, for 0 < rem < den and a
-    den that carries a prime not in ``base``.
+@functools.cache
+def _sexagesit_pairs() -> tuple[bytes, ...]:
+    """The two sexagesits of each value below 3600, as bytes; built on first
+    use, as it takes about a quarter of the time this module takes to import."""
+    return tuple(bytes(divmod(i, 60)) for i in range(3600))
 
-    The pre-period digits are one exact quotient; then long division walks
-    from the first periodic remainder until it comes back, keeping only the
-    digits it emits.  When pre-period plus period would exceed
-    `PERIOD_STATE_BOUND` digits the search gives up, and the first
+
+def _emit_digits(walk: bytearray, r: int, den: int, base: int, n: int) -> int:
+    """Append the next ``n`` digits of r/den (0 <= r < den) in ``base`` to
+    ``walk`` and return the remainder after them.
+
+    One interpreter step per block, not per digit: in base 10 a block is one
+    quotient of up to `_DEC_BLOCK` digits written by ``"%d"``, in base 60 one
+    quotient below 60**4, split into two table pairs.  Other bases, and the
+    last n % 4 sexagesits, take one long-division step per digit.
+    """
+    if base == 10:
+        block, power = _DEC_BLOCK, 10**_DEC_BLOCK
+        while n > 0:
+            if n < block:
+                block, power = n, 10**n
+            c, r = divmod(r * power, den)
+            walk += ("%0*d" % (block, c)).encode().translate(_ASCII_TO_DIGIT)
+            n -= block
+        return r
+    if base == 60:
+        pairs = _sexagesit_pairs()
+        for _ in range(n // 4):
+            c, r = divmod(r * 12_960_000, den)  # 60**4
+            walk += pairs[c // 3600] + pairs[c % 3600]
+        n %= 4
+    for _ in range(n):
+        d, r = divmod(r * base, den)
+        walk.append(d)
+    return r
+
+
+def _order(base: int, t: int, m: int, limit: int) -> int | None:
+    """The multiplicative order of ``base`` modulo ``t`` (coprime to base),
+    or None when it exceeds ``limit``, by baby-step giant-step (Shanks) with
+    ``m`` >= 1 baby steps: about m + limit / m products mod t.
+
+    The baby steps map base**j mod t to j for j < m, keeping the largest j
+    when an order below m repeats a value.  The first giant step base**(i*m)
+    found among them, at i = ceil(order / m), gives the order i*m - j.
+    """
+    baby = {}
+    y = 1 % t
+    for j in range(m):
+        baby[y] = j
+        y = y * base % t
+    giant = y
+    for i in range(1, limit // m + 2):
+        j = baby.get(y)
+        if j is not None:
+            order = i * m - j
+            return order if order <= limit else None
+        y = y * giant % t
+    return None
+
+
+def _repetend(rem: int, den: int, coprime: int, base: int, preperiod: int, max_frac: int):
+    """(frac_digits, period, complete) of rem/den, for 0 < rem < den in
+    lowest terms, where ``coprime`` > 1 is the part of den coprime to
+    ``base``.
+
+    The pre-period digits are one exact quotient; what follows is the purely
+    periodic u/coprime, whose period is the order of base modulo coprime.
+    Long division walks at most m = ceil(sqrt(bound - preperiod)) digits
+    from u, one step each, and a period that closes there comes back as
+    walked.  A longer period's length comes from `_order`, and its other
+    digits from `_emit_digits` in blocks.  When pre-period plus period would
+    exceed `PERIOD_STATE_BOUND` digits the search gives up, and the first
     min(max_frac, bound) digits come back unresolved.
     """
     bound = PERIOD_STATE_BOUND
@@ -418,14 +491,24 @@ def _repetend(rem: int, den: int, base: int, preperiod: int, max_frac: int):
         return _digits_of_int(rem * base**shown // den, base, shown), (), False
     head, start = divmod(rem * base**preperiod, den)
     frac = _digits_of_int(head, base, preperiod)
+    # den's part made of base primes divides base**preperiod, hence start
+    u = start // (den // coprime)
+    limit = bound - preperiod
+    m = math.isqrt(limit - 1) + 1
     walk = bytearray()  # digits of base <= 256 fit a byte each
-    r = start
-    for _ in range(bound - preperiod):
-        d, r = divmod(r * base, den)
+    r = u
+    for _ in range(m):
+        d, r = divmod(r * base, coprime)
         walk.append(d)
-        if r == start:
+        if r == u:
             return frac, tuple(walk), True
-    return (frac + list(walk[:shown]))[:shown], (), False
+    period = _order(base, coprime, m, limit)
+    if period is None:
+        if shown > preperiod + m:
+            _emit_digits(walk, r, coprime, base, shown - preperiod - m)
+        return (frac + list(walk))[:shown], (), False
+    _emit_digits(walk, r, coprime, base, period - m)
+    return frac, tuple(walk), True
 
 
 def _expand(x: Fraction, base: int, max_frac: int, detect_repetend: bool) -> Expansion:
@@ -444,7 +527,7 @@ def _expand(x: Fraction, base: int, max_frac: int, detect_repetend: bool) -> Exp
         int_digits = _digits_of_int(num // den, base)
         rem = num % den
         if detect_repetend:
-            frac, period, complete = _repetend(rem, den, base, preperiod, max_frac)
+            frac, period, complete = _repetend(rem, den, rest, base, preperiod, max_frac)
         else:
             frac = []
             while len(frac) < max_frac:
@@ -491,12 +574,14 @@ def to_decimal(x: Fraction, max_frac: int = 64, detect_repetend: bool = True) ->
     """Exact decimal expansion of a rational.
 
     When the expansion repeats and ``detect_repetend`` is set, the minimal
-    repetend is found by long division from the first periodic remainder
-    until that remainder recurs; the pre-period length comes from the
-    denominator's factors of 2 and 5.  Time and memory are linear in the
-    digits emitted.  When pre-period plus period would exceed
-    `PERIOD_STATE_BOUND` digits the result is marked incomplete and
-    truncated at ``max_frac`` digits.
+    repetend is found: the pre-period length comes from the denominator's
+    factors of 2 and 5, and the period's length is the multiplicative order
+    of 10 modulo the rest of the denominator, found by a short walk of long
+    division and then baby-step giant-step in O(sqrt(`PERIOD_STATE_BOUND`))
+    steps.  The digits past the walk are emitted 300 to a step, so time and
+    memory are otherwise linear in the digits emitted.  When pre-period plus
+    period would exceed `PERIOD_STATE_BOUND` digits the result is marked
+    incomplete and truncated at min(``max_frac``, bound) digits.
     """
     if max_frac < 0:
         raise DomainError("max_frac must be non-negative")

@@ -6,6 +6,7 @@ value exempt from that rule: sign 0, all-zero mantissa, exponent 0 (the
 exponent bias is fixed to 0 throughout).
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -79,14 +80,34 @@ class SexFloat:
         return self.to_sex_number().canonical_text()
 
 
+_LN60 = math.log(BASE)
+
+
+def _at_least(num: int, den: int, k: int) -> bool:
+    """Whether num / den >= 60**k, exactly."""
+    return num >= den * BASE**k if k >= 0 else num * BASE**-k >= den
+
+
 def _magnitude_exponent(x: Fraction) -> int:
-    """The unique e with 60**(e-1) <= |x| < 60**e, for x != 0."""
+    """The unique e with 60**(e-1) <= |x| < 60**e, for x != 0.
+
+    e - 1 = floor(log60 |x|) comes from float logarithms, which CPython takes
+    for ints of any size from their leading bits.  Only a logarithm too
+    close to an integer for its rounding error is settled by an exact
+    comparison with a power of 60.
+    """
     num, den = abs(x.numerator), x.denominator
-    if num >= den:
-        return len(_digits_of_int(num // den, width=0))
-    # (den - 1) // num = ceil(1/|x|) - 1 has L digits exactly when
-    # 60**-L <= |x| < 60**(1-L)
-    return 1 - len(_digits_of_int((den - 1) // num, width=0))
+    ln_num, ln_den = math.log(num), math.log(den)
+    y = (ln_num - ln_den) / _LN60
+    k = math.floor(y)
+    # far above the few ulps of error in y, which grow with ln num + ln den
+    slack = 1e-12 * (2 + (ln_num + ln_den) / _LN60)
+    if y - k < slack or k + 1 - y < slack:
+        if not _at_least(num, den, k):
+            k -= 1
+        elif _at_least(num, den, k + 1):
+            k += 1
+    return k + 1
 
 
 def normalize_float(x: Fraction, precision: int, mode: str = TRUNC) -> SexFloat:

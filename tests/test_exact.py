@@ -8,9 +8,18 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import nonzero_rationals, rationals, sex_numbers
+from conftest import nonzero_rationals, rationals, run_python, sex_numbers
 from sexagesimal import exact
-from sexagesimal.exact import _DC_BITS, _digits_of_int, _int_of_digits, _terminating_frac_len
+from sexagesimal.exact import (
+    _DC_BITS,
+    _DEC_BLOCK,
+    _digits_of_int,
+    _emit_digits,
+    _int_of_digits,
+    _order,
+    _split_denominator,
+    _terminating_frac_len,
+)
 from sexagesimal import (
     HALF_EVEN,
     HALF_UP,
@@ -460,3 +469,127 @@ class TestPeriodStateBound:
             tracemalloc.stop()
         assert info.complete and len(info.period) == 50_001
         assert peak < 4_000_000
+
+
+def _brute_order(base, t):
+    """Least k >= 1 with base**k = 1 mod t, one product at a time."""
+    y, k = base % t, 1
+    while y != 1 % t:
+        y = y * base % t
+        k += 1
+    return k
+
+
+class TestOrder:
+    # base-coprime moduli up to 3 * 10**4; limits at the order, one either
+    # side of it, and anywhere up to twice it
+    @given(
+        st.sampled_from([10, 60]),
+        st.integers(1, 30_000),
+        st.integers(1, 150),
+        st.one_of(st.sampled_from([-1, 0, 1]), st.integers(-30_000, 30_000)),
+    )
+    def test_against_brute_force(self, base, n, m, offset):
+        t = _split_denominator(n, base)[1]
+        order = _brute_order(base, t)
+        limit = max(0, order + offset)
+        assert _order(base, t, m, limit) == (order if order <= limit else None)
+
+    @pytest.mark.parametrize(
+        "base, t, m, order",
+        [
+            (10, 2591, 1000, 259),  # order below m: the largest colliding j, not 3 * 259
+            (10, 2591, 258, 259),  # order m + 1
+            (10, 2591, 259, 259),  # order m
+            (10, 7, 5, 6),
+            (10, 1, 3, 1),  # order 1: every power is 0 mod 1
+            (10, 3, 1, 1),
+            (60, 59, 4, 1),
+            (60, 7, 1, 3),  # m = 1: one giant step per power; 1/7 = 0;(8:34:17)
+            (60, 30_000_023, 5478, 30_000_022),
+        ],
+    )
+    def test_known_orders_at_the_limit(self, base, t, m, order):
+        assert _order(base, t, m, order) == order
+        assert _order(base, t, m, order + 1) == order
+        assert _order(base, t, m, order - 1) is None
+
+
+class TestEmitDigits:
+    # one block is _DEC_BLOCK decimal digits or 4 sexagesits; 3 * block + 2
+    # crosses two block boundaries and leaves a short last block
+    @pytest.mark.parametrize("base, block", [(10, _DEC_BLOCK), (60, 4)])
+    @pytest.mark.parametrize("num, den", [(1, 7), (5, 97), (3, 2**70 * 3 * 7 + 1), (10**39, 10**40 + 1), (1, 2**9)])
+    def test_against_long_division(self, base, block, num, den):
+        for n in sorted({0, 1, block - 1, block, block + 1, 3 * block + 2, 1000}):
+            walk = bytearray([99])  # digits are appended after what is there
+            r = _emit_digits(walk, num, den, base, n)
+            assert list(walk) == [99] + _frac_stream(num, den, base, n), n
+            assert r == num * pow(base, n, den) % den
+
+    @pytest.mark.parametrize("base", [10, 60])
+    def test_whole_period_against_longdiv(self, base):
+        den = 100_003
+        pre, period = _longdiv(1, den, base, limit=10**6)
+        walk = bytearray()
+        assert _emit_digits(walk, 1, den, base, len(period)) == 1
+        assert not pre and tuple(walk) == tuple(period)
+
+
+class TestRepetendRoutes:
+    # the short walk takes periods up to m = ceil(sqrt(bound - preperiod));
+    # longer ones go through _order and _emit_digits: both must agree with
+    # long division on either side of m and of the bound
+    @given(
+        st.sampled_from([10, 60]),
+        st.integers(1, 3_000),
+        st.integers(2, 4_000),
+        st.sampled_from([1, 2**5, 3**4, 5**3 * 2]),
+        st.sampled_from([0, 5, 64, 2_500]),
+        st.data(),
+    )
+    def test_against_longdiv(self, base, num, core, cofactor, max_frac, data):
+        x = Fraction(num, core * cofactor)
+        num, den = x.numerator, x.denominator
+        pre, period = _longdiv(num, den, base, limit=10**5)
+        # one either side of pre-period plus period, or anywhere up to it
+        total = len(pre) + len(period)
+        bound = max(1, data.draw(st.one_of(st.sampled_from([total - 1, total, total + 1, 10**6]),
+                                           st.integers(1, total + 1)), label="bound"))
+        old = exact.PERIOD_STATE_BOUND
+        exact.PERIOD_STATE_BOUND = bound
+        try:
+            info = to_decimal(x, max_frac) if base == 10 else to_sexagesimal(x, max_frac, detect_repetend=True)[1]
+        finally:
+            exact.PERIOD_STATE_BOUND = old
+        if not period or len(pre) + len(period) <= bound:
+            assert info.complete and (info.frac_digits, info.period) == (tuple(pre), tuple(period))
+        else:
+            assert not info.complete and info.period == ()
+            assert info.frac_digits == tuple(_frac_stream(num, den, base, min(max_frac, bound)))
+
+    def test_give_up_past_a_raised_bound_within_deadline(self):
+        # 30000023 is a full-reptend prime in base 10 and base 60: its period
+        # of 30000022 digits is just past a bound of 3 * 10**7.  A walk of one
+        # step per digit took about 11 s to give up on both calls.
+        code = (
+            "import time\n"
+            "from fractions import Fraction\n"
+            "from sexagesimal import exact, to_decimal, to_sexagesimal\n"
+            "exact.PERIOD_STATE_BOUND = 3 * 10**7\n"
+            "x = Fraction(1, 30_000_023)\n"
+            "start = time.perf_counter()\n"
+            "info60 = to_sexagesimal(x, 64, detect_repetend=True)[1]\n"
+            "info10 = to_decimal(x, 64)\n"
+            "print(time.perf_counter() - start, info60.complete, info10.complete)\n"
+            "print(*info60.frac_digits)\n"
+            "print(*info10.frac_digits)\n"
+        )
+        proc = run_python(["-c", code], timeout=20)
+        assert proc.returncode == 0, proc.stderr
+        head, digits60, digits10 = proc.stdout.splitlines()
+        elapsed, complete60, complete10 = head.split()
+        assert float(elapsed) < 2.0
+        assert complete60 == complete10 == "False"
+        assert [int(d) for d in digits60.split()] == _frac_stream(1, 30_000_023, 60, 64)
+        assert [int(d) for d in digits10.split()] == _frac_stream(1, 30_000_023, 10, 64)
