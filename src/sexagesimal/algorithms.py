@@ -9,13 +9,12 @@ approximate results and they carry their own precision contract.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from importlib.resources import files
 from typing import NamedTuple
 
 from .errors import DomainError
-from .exact import BASE, TRUNC, Rational, SexNumber, _terminating_frac_len, int_sqrt, to_sexagesimal
+from .exact import BASE, TRUNC, Rational, SexNumber, _diff_digits, _round_to, _split_denominator, int_sqrt
 from .floating import SexFloat, _magnitude_exponent
-from .glyphs import GlyphError, decode_glyphs
+from .glyphs import GlyphError, _read_tsv, decode_glyphs
 
 HERON_ITERATION_CAP = 1000
 
@@ -127,7 +126,7 @@ def heron_sqrt(
             break
     else:
         raise DomainError(f"no convergence within {HERON_ITERATION_CAP} iterations")
-    number, _ = to_sexagesimal(cur, precision, TRUNC)
+    number = _round_to(cur, precision, TRUNC)
     if number.is_zero:
         value = SexFloat.zero(precision)
     else:
@@ -191,12 +190,10 @@ def triple_from_generators(p: int, q: int) -> Triple:
 
 
 def _terminating_sexagesimal(x: Fraction) -> SexNumber:
-    frac_len = _terminating_frac_len(x.denominator, BASE)
-    if frac_len is None:
-        cofactor = is_regular(x.denominator).cofactor
+    frac_len, cofactor = _split_denominator(x.denominator, BASE)
+    if cofactor != 1:
         raise DomainError(f"expansion of {x} does not terminate (denominator cofactor {cofactor})")
-    number, _ = to_sexagesimal(x, frac_len, TRUNC)
-    return number
+    return _round_to(x, frac_len, TRUNC)
 
 
 def plimpton_row_compute(a: int, d: int, index: int, ratio: str = RATIO_DIAGONAL) -> PlimptonRow:
@@ -227,14 +224,10 @@ class TableRecord(NamedTuple):
 
 def load_table() -> list[TableRecord]:
     """The embedded 15-row transcription (index, ratio, a, d glyph strings)."""
-    text = files(__package__).joinpath(_PLIMPTON_RESOURCE).read_text("utf-8")
-    records = []
-    for line in text.splitlines():
-        if not line or line.startswith("#"):
-            continue
-        index, ratio_glyphs, a_glyphs, d_glyphs = line.split("\t")
-        records.append(TableRecord(int(index), ratio_glyphs, a_glyphs, d_glyphs))
-    return records
+    return [
+        TableRecord(int(index), ratio_glyphs, a_glyphs, d_glyphs)
+        for index, ratio_glyphs, a_glyphs, d_glyphs in _read_tsv(_PLIMPTON_RESOURCE)
+    ]
 
 
 class DigitMismatch(NamedTuple):
@@ -256,16 +249,6 @@ class RowDiff:
     @property
     def ok(self) -> bool:
         return self.error is None and not self.mismatches
-
-
-def _diff_digits(published: tuple[int, ...], computed: tuple[int, ...]) -> tuple[DigitMismatch, ...]:
-    out = []
-    for i in range(max(len(published), len(computed))):
-        p = published[i] if i < len(published) else None
-        c = computed[i] if i < len(computed) else None
-        if p != c:
-            out.append(DigitMismatch(i + 1, p, c))
-    return tuple(out)
 
 
 def reconstruct_table(ratio: str = RATIO_DIAGONAL) -> list[RowDiff]:
@@ -291,9 +274,9 @@ def reconstruct_table(ratio: str = RATIO_DIAGONAL) -> list[RowDiff]:
         if ratio == RATIO_SHORT:
             # the published column keeps the ambiguous leading 1; the (a/b)^2
             # reading drops it and keeps the fractional tail
-            mismatches = _diff_digits(published.digits[1:], row.ratio_digits.frac_digits)
+            mismatches = _diff_digits(published.digits[1:], row.ratio_digits.frac_digits, DigitMismatch)
         else:
-            mismatches = _diff_digits(published.digits, row.ratio_digits.digits)
+            mismatches = _diff_digits(published.digits, row.ratio_digits.digits, DigitMismatch)
         diffs.append(
             RowDiff(record.index, row=row, published=published, mismatches=mismatches, error=None)
         )

@@ -27,8 +27,8 @@ from .exact import (
     HALF_EVEN,
     HALF_UP,
     TRUNC,
-    Expansion,
     Rational,
+    _render,
     arith,
     from_sexagesimal,
     parse_decimal,
@@ -71,37 +71,15 @@ def _parse_value(text: str, notation: str) -> Rational:
         raise _Failure(_PARSE_ORIGIN[notation], str(exc)) from exc
 
 
-def _expansion_glyphs(exp: Expansion) -> str:
-    glyph = DEFAULT_TABLE.glyph
-    text = "".join(glyph(d) for d in exp.int_digits)
-    if exp.frac_digits or exp.period:
-        text += ";" + "".join(glyph(d) for d in exp.frac_digits)
-    if exp.period:
-        text += "(" + "".join(glyph(d) for d in exp.period) + ")"
-    elif not exp.complete:
-        text += "..."
-    return ("-" if exp.sign < 0 else "") + text
-
-
 def _render_value(x: Rational, notation: str, precision: int, mode: str) -> str:
     if notation == "decimal":
         return str(to_decimal(x, max_frac=precision, detect_repetend=True))
     number, info = to_sexagesimal(x, precision, mode, detect_repetend=True)
-    if info.terminates_within(precision):
-        return encode_glyphs(number) if notation == "glyph" else number.canonical_text()
     if info.complete and info.period:
-        return _expansion_glyphs(info) if notation == "glyph" else str(info)
+        style = {"symbols": DEFAULT_TABLE.forward, "sep": ""} if notation == "glyph" else {}
+        return _render(info.sign, info.int_digits, info.frac_digits, info.period, **style)
     text = encode_glyphs(number) if notation == "glyph" else number.canonical_text()
-    return text + "..."
-
-
-def _render_float(value, notation: str, precision: int) -> str:
-    number = value.to_sex_number()
-    if notation == "glyph":
-        return encode_glyphs(number)
-    if notation == "decimal":
-        return str(to_decimal(number.to_rational(), max_frac=precision, detect_repetend=True))
-    return number.canonical_text()
+    return text if info.terminates_within(precision) else text + "..."
 
 
 def _precision(text: str) -> int:
@@ -194,14 +172,15 @@ def _cmd_sqrt(args) -> tuple[str, int]:
     value = _parse_value(args.value, args.notation_in)
     start = _parse_value(args.start, args.notation_in) if args.start else None
     result = heron_sqrt(value, start, args.p)
-    text = _render_float(result.value, args.notation_out, args.p)
+    # the root has at most --p fractional sexagesits, so no rounding applies
+    text = _render_value(result.value.to_rational(), args.notation_out, args.p, TRUNC)
     return f"{text} ({result.iterations} iterations)\n", 0
 
 
 def _cmd_area(args) -> tuple[str, int]:
     sides = [_parse_value(t, args.notation_in) for t in (args.a, args.b, args.c)]
     value = heron_area(*sides, precision=args.p)
-    return _render_float(value, args.notation_out, args.p) + "\n", 0
+    return _render_value(value.to_rational(), args.notation_out, args.p, TRUNC) + "\n", 0
 
 
 def _cmd_epsilon(args) -> tuple[str, int]:
@@ -246,10 +225,12 @@ def _mismatch_text(diff) -> str:
 
 def _cmd_plimpton(args) -> tuple[str, int]:
     if args.generators:
+        # through the digit kernel: the sides may pass the int-string limit
         triple = triple_from_generators(*args.generators)
+        a, b, d = (str(to_decimal(side)) for side in (triple.a, triple.b, triple.d))
         if args.format == "machine":
-            return f"{triple.a}\t{triple.b}\t{triple.d}\n", 0
-        return f"a={triple.a} b={triple.b} d={triple.d}\n", 0
+            return f"{a}\t{b}\t{d}\n", 0
+        return f"a={a} b={b} d={d}\n", 0
     diffs = reconstruct_table(args.ratio)
     records = {record.index: record for record in load_table()}
     lines = []

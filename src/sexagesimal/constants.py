@@ -10,13 +10,12 @@ mismatch, or undecodable -- published strings are never "corrected".
 
 from dataclasses import dataclass
 from fractions import Fraction
-from importlib.resources import files
 from typing import NamedTuple
 
 from .errors import DomainError
-from .exact import TRUNC, _digits_of_int, _int_of_digits, parse_decimal
+from .exact import TRUNC, _diff_digits, _digits_of_int, _int_of_digits, _render, parse_decimal
 from .floating import normalize_float
-from .glyphs import DEFAULT_TABLE, GlyphTable, UnknownGlyphError
+from .glyphs import DEFAULT_TABLE, GlyphTable, UnknownGlyphError, _decode_raw, _read_tsv
 
 _CONSTANTS_RESOURCE = "data/constants60.tsv"
 
@@ -78,38 +77,18 @@ class VerificationReport:
 
 def load_constants() -> list[ConstantEntry]:
     """The embedded constants table, in published order."""
-    text = files(__package__).joinpath(_CONSTANTS_RESOURCE).read_text("utf-8")
-    entries = []
-    for line in text.splitlines():
-        if not line or line.startswith("#"):
-            continue
-        name, symbol, glyphs, exponent, unit, reference, source = line.split("\t")
-        entries.append(
-            ConstantEntry(
-                name=name,
-                symbol=symbol,
-                glyphs=glyphs,
-                exponent_glyphs=exponent or None,
-                unit=unit,
-                reference_value=parse_decimal(reference),
-                reference_source=source,
-            )
+    return [
+        ConstantEntry(
+            name=name,
+            symbol=symbol,
+            glyphs=glyphs,
+            exponent_glyphs=exponent or None,
+            unit=unit,
+            reference_value=parse_decimal(reference),
+            reference_source=source,
         )
-    return entries
-
-
-def _decode_digit_string(text: str, table: GlyphTable) -> tuple[int, ...]:
-    """Glyphs -> raw digit tuple, as printed (no canonicalization); spaces
-    skipped, aliases resolved, unknown glyph raises with its position."""
-    digits = []
-    for i, ch in enumerate(text):
-        if ch == " ":
-            continue
-        v = table.value(ch)
-        if v is None:
-            raise UnknownGlyphError(ch, i + 1)
-        digits.append(v)
-    return tuple(digits)
+        for name, symbol, glyphs, exponent, unit, reference, source in _read_tsv(_CONSTANTS_RESOURCE)
+    ]
 
 
 def _parse_scale(notation: str, table: GlyphTable) -> int:
@@ -121,7 +100,7 @@ def _parse_scale(notation: str, table: GlyphTable) -> int:
     if inner.startswith("-"):
         sign = -1
         inner = inner[1:]
-    digits = _decode_digit_string(inner, table)
+    digits = _decode_raw(inner, table)
     if not digits:
         raise DomainError(f"empty exponent in {notation!r}")
     return sign * _int_of_digits(digits)
@@ -152,12 +131,12 @@ def encode_scientific(
     f = normalize_float(x, precision, mode)
     digits = _strip_trailing_zeros(list(f.mantissa))
     exponent = f.exponent - len(digits)
-    glyphs = "".join(table.glyph(d) for d in digits)
+    glyphs = _render(1, digits, symbols=table.forward, sep="")
     if exponent == 0:
         notation = ""
     else:
-        mag = "".join(table.glyph(d) for d in _digits_of_int(abs(exponent)))
-        notation = "10^{" + ("-" if exponent < 0 else "") + mag + "}"
+        mag = _render(exponent, _digits_of_int(abs(exponent)), symbols=table.forward, sep="")
+        notation = "10^{" + mag + "}"
     return glyphs, exponent, notation
 
 
@@ -170,7 +149,7 @@ def verify_constant(
     at the published digit count (or ``precision`` when given).  An
     out-of-alphabet glyph is a status, not an error."""
     try:
-        published = _decode_digit_string(entry.glyphs, table)
+        published = tuple(_decode_raw(entry.glyphs, table))
         if entry.exponent_glyphs is None:
             published_scale = 0
         else:
@@ -182,12 +161,7 @@ def verify_constant(
     f = normalize_float(entry.reference_value, precision, TRUNC)
     derived = f.mantissa
     derived_scale = f.exponent - precision
-    diffs = []
-    for i in range(max(len(published), len(derived))):
-        p = published[i] if i < len(published) else None
-        d = derived[i] if i < len(derived) else None
-        if p != d:
-            diffs.append(DigitDiff(i + 1, p, d))
+    diffs = _diff_digits(published, derived, DigitDiff)
     kind = MATCH if not diffs and published_scale == derived_scale else MISMATCH
     return EntryStatus(
         entry,
@@ -196,7 +170,7 @@ def verify_constant(
         derived_digits=derived,
         published_scale=published_scale,
         derived_scale=derived_scale,
-        digit_diffs=tuple(diffs),
+        digit_diffs=diffs,
     )
 
 
@@ -239,9 +213,7 @@ def render_report(report: VerificationReport, machine: bool = False, table: Glyp
     lines = []
     if machine:
         for s in report.statuses:
-            derived = (
-                "".join(table.glyph(d) for d in s.derived_digits) if s.derived_digits else ""
-            )
+            derived = _render(1, s.derived_digits or (), symbols=table.forward, sep="")
             lines.append(
                 "\t".join(
                     (

@@ -11,8 +11,10 @@ Canonical base-60 text writes sexagesits as decimal numbers separated by
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 
 from .errors import DomainError, ParseError
 
@@ -40,6 +42,10 @@ PERIOD_STATE_BOUND = 10**6
 _DC_BITS = 512
 
 _ASCII_DIGITS = "0123456789"
+
+# the digit -> text table of canonical and decimal text: each digit as its
+# decimal numeral
+_NUMERALS = tuple(str(d) for d in range(BASE))
 
 # `_emit_digits` blocks: decimal digits per "%d" block (far below CPython's
 # int-string limit), and ASCII digits to digit values
@@ -80,6 +86,13 @@ def parse_decimal(text: str) -> Fraction:
             fail(f"expected {what}", i + 1)
         return s[start:i]
 
+    def to_int(digits: str, pos: int) -> int:
+        try:
+            return int(digits)
+        except ValueError:  # ASCII digits fail only CPython's int-string limit
+            fail(f"{len(digits)} digits exceed the int-string limit of {sys.get_int_max_str_digits()}", pos)
+
+    digits_at = i + 1
     int_part = scan_digits("digit")
     frac_part = ""
     if i < n and s[i] == ".":
@@ -92,11 +105,12 @@ def parse_decimal(text: str) -> Fraction:
         if i < n and s[i] == "-":
             exp_sign = -1
             i += 1
-        exp = exp_sign * int(scan_digits("exponent digit"))
+        exp_at = i + 1
+        exp = exp_sign * to_int(scan_digits("exponent digit"), exp_at)
     if i != n:
         fail(f"unexpected character {s[i]!r}", i + 1)
 
-    value = Fraction(int(int_part + frac_part), 10 ** len(frac_part))
+    value = Fraction(to_int(int_part + frac_part, digits_at), 10 ** len(frac_part))
     if exp:
         value *= Fraction(10) ** exp
     return sign * value
@@ -199,6 +213,37 @@ def _int_of_digits(digits, base: int = BASE) -> int:
     return values[0]
 
 
+def _spell(digits, symbols, sep: str) -> str:
+    """The digits written as symbols[d] each, ``sep`` between them; without
+    a separator, one `str.translate` over the digits as code points."""
+    if sep:
+        return sep.join(map(symbols.__getitem__, digits))
+    return bytes(digits).decode("latin-1").translate(symbols)
+
+
+def _render(sign, int_digits, frac_digits=(), period=(), complete=True, symbols=_NUMERALS, sep=":", point=";") -> str:
+    """Positional text in any notation: ``-`` for a negative sign, the
+    integer digits, ``point`` and the fractional digits when there are any
+    or a period, the period in parentheses, else ``...`` when incomplete.
+    A digit d is written symbols[d] (a glyph table's ``forward`` for
+    glyphs), with ``sep`` between the digits of each part."""
+    text = _spell(int_digits, symbols, sep)
+    if frac_digits or period:
+        text += point + _spell(frac_digits, symbols, sep)
+    if period:
+        text += "(" + _spell(period, symbols, sep) + ")"
+    elif not complete:
+        text += "..."
+    return "-" + text if sign < 0 else text
+
+
+def _diff_digits(published, derived, record) -> tuple:
+    """``record(position, published, derived)`` at each 1-based position where
+    two digit sequences differ; past the shorter one's end its digit is None."""
+    pairs = enumerate(zip_longest(published, derived), 1)
+    return tuple(record(i, p, d) for i, (p, d) in pairs if p != d)
+
+
 @dataclass(frozen=True)
 class SexNumber:
     """A base-60 positional numeral: sign, digits (most significant first),
@@ -263,11 +308,6 @@ class SexNumber:
     def from_int(cls, n: int) -> "SexNumber":
         return cls.from_digits(1 if n >= 0 else -1, _digits_of_int(abs(n)), 0)
 
-    @classmethod
-    def _from_scaled(cls, sign: int, scaled: int, frac_count: int) -> "SexNumber":
-        # scaled = magnitude * 60**frac_count, already rounded
-        return cls.from_digits(sign, _digits_of_int(scaled), frac_count)
-
     @property
     def is_zero(self) -> bool:
         return self.sign == 0
@@ -285,10 +325,7 @@ class SexNumber:
 
     def canonical_text(self) -> str:
         """Render in the canonical ``1;59:0:15`` text form."""
-        text = ":".join(str(d) for d in self.int_digits)
-        if self.frac_count:
-            text += ";" + ":".join(str(d) for d in self.frac_digits)
-        return ("-" if self.sign < 0 else "") + text
+        return _render(self.sign, self.int_digits, self.frac_digits)
 
     def __str__(self) -> str:
         return self.canonical_text()
@@ -321,38 +358,28 @@ class Expansion:
     frac_len: int | None
     complete: bool
 
-    def _join(self, digits) -> str:
-        if self.base == 10:
-            return "".join(str(d) for d in digits)
-        return ":".join(str(d) for d in digits)
+    @property
+    def _style(self) -> dict:
+        # decimal digits run together; sexagesits are ":" separated
+        return {"sep": "", "point": "."} if self.base == 10 else {}
 
     @property
     def preperiod_text(self) -> str:
         """Sign, integer part and fractional digits before the repetend,
         e.g. ``0.01`` for 1/60 in base 10."""
-        point = "." if self.base == 10 else ";"
-        text = self._join(self.int_digits)
-        if self.frac_digits:
-            text += point + self._join(self.frac_digits)
-        return ("-" if self.sign < 0 else "") + text
+        return _render(self.sign, self.int_digits, self.frac_digits, **self._style)
 
     @property
     def period_text(self) -> str:
-        return self._join(self.period)
+        return _render(1, self.period, **self._style)
 
     def terminates_within(self, max_frac: int) -> bool:
         return self.terminates and self.frac_len is not None and self.frac_len <= max_frac
 
     def __str__(self) -> str:
-        point = "." if self.base == 10 else ";"
-        text = self._join(self.int_digits)
-        if self.frac_digits or self.period:
-            text += point + self._join(self.frac_digits)
-        if self.period:
-            text += f"({self.period_text})"
-        elif not self.complete:
-            text += "..."
-        return ("-" if self.sign < 0 else "") + text
+        return _render(
+            self.sign, self.int_digits, self.frac_digits, self.period, self.complete, **self._style
+        )
 
 
 def _valuation(n: int, p: int) -> tuple[int, int]:
@@ -565,9 +592,15 @@ def to_sexagesimal(
     if info.terminates_within(max_frac):
         # exact at this budget: the expansion's digits are the number's
         return SexNumber.from_digits(info.sign, info.int_digits + info.frac_digits, info.frac_len), info
+    return _round_to(x, max_frac, mode), info
+
+
+def _round_to(x: Fraction, max_frac: int, mode: str) -> SexNumber:
+    """``x`` rounded to ``max_frac`` fractional sexagesits per ``mode``: the
+    number `to_sexagesimal` returns, for callers that need no `Expansion`."""
     scaled = _round_quotient(abs(x.numerator) * BASE**max_frac, x.denominator, mode)
     sign = 0 if scaled == 0 else (1 if x.numerator > 0 else -1)
-    return SexNumber._from_scaled(sign, scaled, max_frac), info
+    return SexNumber.from_digits(sign, _digits_of_int(scaled), max_frac)
 
 
 def to_decimal(x: Fraction, max_frac: int = 64, detect_repetend: bool = True) -> Expansion:

@@ -8,10 +8,11 @@ omicron) via an alias table; encoding only ever emits canonical glyphs.
 """
 
 from dataclasses import dataclass, field
+from importlib.resources import files
 from types import MappingProxyType
 
 from .errors import ParseError
-from .exact import BASE, SexNumber
+from .exact import BASE, SexNumber, _render
 
 # values 36..59; index 14 (= value 50) is LATIN SMALL LETTER O, as published
 _GREEK = "αβγδεζηθικλμ" \
@@ -98,12 +99,31 @@ class GlyphTable:
 DEFAULT_TABLE = GlyphTable()
 
 
+def _read_tsv(resource: str) -> list[list[str]]:
+    """The tab-separated fields of each line of an embedded data file,
+    skipping blank lines and ``#`` comment lines."""
+    text = files(__package__).joinpath(resource).read_text("utf-8")
+    return [line.split("\t") for line in text.splitlines() if line and not line.startswith("#")]
+
+
 def encode_glyphs(x: SexNumber, table: GlyphTable = DEFAULT_TABLE) -> str:
     """One canonical glyph per sexagesit; ``;`` as radix point, ``-`` sign."""
-    text = "".join(table.glyph(d) for d in x.int_digits)
-    if x.frac_count:
-        text += ";" + "".join(table.glyph(d) for d in x.frac_digits)
-    return ("-" if x.sign < 0 else "") + text
+    return _render(x.sign, x.int_digits, x.frac_digits, symbols=table.forward, sep="")
+
+
+def _decode_raw(text: str, table: GlyphTable) -> list[int]:
+    """The digit values of glyph text as printed, with nothing canonicalized:
+    spaces are skipped and aliases resolve to their value.  Any other
+    character, ``-`` and ``;`` included, is an `UnknownGlyphError` at its
+    1-based position in text."""
+    digits = []
+    for pos, ch in enumerate(text, 1):
+        if ch != " ":
+            v = table.value(ch)
+            if v is None:
+                raise UnknownGlyphError(ch, pos)
+            digits.append(v)
+    return digits
 
 
 def decode_glyphs(text: str, table: GlyphTable = DEFAULT_TABLE) -> SexNumber:
@@ -166,12 +186,17 @@ def decode_canonical(text: str) -> SexNumber:
             i += 1
         if i == start:
             raise GlyphError(f"expected sexagesit at position {start + 1}: {text!r}", position=start + 1)
-        token = int(s[start:i])
-        if token >= BASE:
+        token = s[start:i]
+        if len(token) > 2:
+            token = token.lstrip("0") or "0"
+        # a sexagesit has at most two significant digits, so a longer token is
+        # out of range without converting it (and whatever its length)
+        value = int(token) if len(token) <= 2 else BASE
+        if value >= BASE:
             raise DigitRangeError(
                 f"sexagesit {token} out of range at position {start + 1}", position=start + 1
             )
-        digits.append(token)
+        digits.append(value)
         if i == n:
             break
         if s[i] == ":":

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import run_python
+from sexagesimal import exact
 from sexagesimal import (
     DomainError,
     PlimptonRow,
@@ -398,3 +399,28 @@ class TestReconstruction:
             assert 1 <= int(index) <= 15
             for field in (ratio, a, d):
                 decode_glyphs(field)  # verbatim strings all decode
+
+
+class TestNoExpansion:
+    # these callers keep only the rounded number, so they build no Expansion
+    @pytest.fixture(autouse=True)
+    def _no_expand(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("exact._expand was called")
+
+        monkeypatch.setattr(exact, "_expand", refuse)
+
+    def test_heron_sqrt(self):
+        assert str(heron_sqrt(2, precision=8).value) == "1;24:51:10:7:46:6:4:44"
+        assert str(heron_sqrt(Fraction(1, 10**8), precision=8).value) == "0;0:0:21:36"
+
+    def test_plimpton_rows(self):
+        row = plimpton_row_compute(119, 169, 1)
+        assert row.ratio_digits.canonical_text() == "1;59:0:15"
+        assert all(diff.ok for diff in reconstruct_table())
+
+
+def test_nonterminating_ratio_names_its_cofactor():
+    # a = 24, d = 25 gives b = 7, so (d/b)^2 = 625/49 has no finite expansion
+    with pytest.raises(DomainError, match=r"expansion of 625/49 does not terminate \(denominator cofactor 49\)"):
+        plimpton_row_compute(24, 25, 1)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import run_python
+from sexagesimal import exact
 from sexagesimal.cli import main
 
 DATA = Path(__file__).parent / "data" / "cli"
@@ -165,3 +166,102 @@ def test_sqrt_of_small_value_finishes():
     assert proc.returncode == 0
     assert proc.stdout == "0;0:0:21:36 (1 iterations)\n"
     assert proc.stderr == ""
+
+
+class TestRepetendOutput:
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["arith", "--to", "glyph", "div", "1", "7"], "0;(8YH)\n"),
+            (["arith", "div", "-1", "59"], "-0;(1)\n"),
+            (["arith", "--to", "glyph", "div", "-1", "59"], "-0;(1)\n"),
+            (["arith", "--to", "glyph", "div", "1", "61"], "0;(0ω)\n"),
+            (["arith", "div", "1", "61"], "0;(0:59)\n"),
+        ],
+    )
+    def test_period_in_parentheses(self, argv, expected, capsys):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected
+
+    # past the bound the search gives up and the rounded number ends in "..."
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["arith", "--p", "5", "--to", "glyph", "div", "1", "7"], "0;8YH8Y...\n"),
+            (["arith", "--p", "5", "div", "1", "7"], "0;8:34:17:8:34...\n"),
+            (["arith", "--p", "5", "--round", "half-up", "--to", "glyph", "div", "-5", "7"], "-0;ηπPηπ...\n"),
+            (["arith", "--p", "5", "--to", "decimal", "div", "1", "7"], "0.14...\n"),
+        ],
+    )
+    def test_period_past_state_bound(self, argv, expected, capsys, monkeypatch):
+        monkeypatch.setattr(exact, "PERIOD_STATE_BOUND", 2)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected
+
+
+class TestIntStringLimit:
+    # CPython refuses int <-> str conversions past sys.get_int_max_str_digits()
+    # digits (4300 by default); such decimal literals are parse errors, read
+    # against the limit in force, not a traceback
+    @pytest.mark.parametrize(
+        "literal",
+        ["1" * 4301, "1." + "1" * 4300, "1e" + "1" * 4301],
+        ids=["integer", "fraction", "exponent"],
+    )
+    def test_decimal_past_limit_is_a_parse_error(self, literal):
+        argv = ["-X", "int_max_str_digits=4300", "-m", "sexagesimal", "convert", literal]
+        proc = run_python(argv, timeout=20)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("sexagesimal convert: error (exact): ")
+        assert "int-string limit of 4300" in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "limit, notation, literal, expected",
+        [
+            ("4300", "decimal", "0." + "0" * 4298 + "1", "0...\n"),
+            ("0", "decimal", "0." + "0" * 5000 + "1", "0...\n"),
+        ],
+        ids=["at-limit", "no-limit"],
+    )
+    def test_limit_is_read_at_call_time(self, limit, notation, literal, expected):
+        argv = ["-X", f"int_max_str_digits={limit}", "-m", "sexagesimal", "convert", "--from", notation, literal]
+        proc = run_python(argv, timeout=20)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected, "")
+
+    # a canonical sexagesit is judged by its significant digits, so the
+    # limit never applies to it
+    @pytest.mark.parametrize("literal", ["0" * 5000 + "1", "1;" + "0" * 4301], ids=["integer", "fraction"])
+    def test_canonical_leading_zeros_past_limit(self, literal):
+        argv = ["-X", "int_max_str_digits=4300", "-m", "sexagesimal", "convert", "--from", "canonical", literal]
+        proc = run_python(argv, timeout=20)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1\n", "")
+
+    def test_canonical_long_sexagesit_is_out_of_range(self):
+        literal = "1" * 5000
+        argv = ["-X", "int_max_str_digits=4300", "-m", "sexagesimal", "convert", "--from", "canonical", literal]
+        proc = run_python(argv, timeout=20)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == f"sexagesimal convert: error (glyphs): sexagesit {literal} out of range at position 1\n"
+
+
+def test_generators_past_int_string_limit():
+    # a 3000-digit P gives sides of about 6000 digits
+    p = "2" + "0" * 2998 + "1" + "0"
+    code = (
+        "from sexagesimal import triple_from_generators\n"
+        f"t = triple_from_generators({p}, 1)\n"
+        "print(f'a={t.a} b={t.b} d={t.d}')\n"
+        "print(f'{t.a}\\t{t.b}\\t{t.d}')\n"
+    )
+    reference = run_python(["-X", "int_max_str_digits=0", "-c", code], timeout=20)
+    assert reference.returncode == 0, reference.stderr
+    outputs = []
+    for extra in ([], ["--format", "machine"]):
+        argv = ["-X", "int_max_str_digits=4300", "-m", "sexagesimal", "plimpton", "--generators", p, "1", *extra]
+        proc = run_python(argv, timeout=20)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        outputs.append(proc.stdout)
+    assert "".join(outputs) == reference.stdout
+    assert len(reference.stdout) > 2 * 3 * 5000

@@ -18,7 +18,7 @@ from sexagesimal import (
     verify_table,
 )
 from sexagesimal.constants import MATCH, MISMATCH, UNDECODABLE, _parse_scale
-from sexagesimal.glyphs import DEFAULT_TABLE
+from sexagesimal.glyphs import DEFAULT_TABLE, UnknownGlyphError
 
 DATA = Path(__file__).parent / "data"
 
@@ -195,3 +195,26 @@ class TestDataset:
     def test_entry_invariant(self):
         with pytest.raises(ValueError):
             ConstantEntry("x", "x", "1", None, "-", Fraction(-1), "synthetic")
+
+
+class TestRawGlyphDecoding:
+    # published strings are decoded as printed: unlike decode_glyphs, a sign
+    # or radix point is not part of the notation, and nothing is normalized
+    @pytest.mark.parametrize("glyphs", ["5-3", "5;3"])
+    def test_sign_and_radix_point_are_undecodable(self, glyphs):
+        entry = ConstantEntry("test", "t", glyphs, None, "1", Fraction(5), "test")
+        status = verify_constant(entry)
+        assert status.kind == UNDECODABLE
+        assert (status.glyph, status.position) == (glyphs[1], 2)
+
+    def test_leading_zero_is_kept(self):
+        entry = ConstantEntry("test", "t", "0 5", None, "1", Fraction(5), "test")
+        status = verify_constant(entry)
+        assert status.published_digits == (0, 5)
+        assert decode_glyphs("0 5").digits == (5,)
+
+    def test_scale_glyphs_decode_the_same_way(self):
+        assert _parse_scale("10^{-0 5}", DEFAULT_TABLE) == -5
+        with pytest.raises(UnknownGlyphError) as err:
+            _parse_scale("10^{5;3}", DEFAULT_TABLE)
+        assert (err.value.glyph, err.value.position) == (";", 2)
