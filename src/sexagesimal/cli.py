@@ -76,7 +76,7 @@ def _render_value(x: Rational, notation: str, precision: int, mode: str) -> str:
         return str(to_decimal(x, max_frac=precision, detect_repetend=True))
     number, info = to_sexagesimal(x, precision, mode, detect_repetend=True)
     if info.complete and info.period:
-        style = {"symbols": DEFAULT_TABLE.forward, "sep": ""} if notation == "glyph" else {}
+        style = {"symbols": DEFAULT_TABLE.forward} if notation == "glyph" else {}
         return _render(info.sign, info.int_digits, info.frac_digits, info.period, **style)
     text = encode_glyphs(number) if notation == "glyph" else number.canonical_text()
     return text if info.terminates_within(precision) else text + "..."

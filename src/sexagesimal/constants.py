@@ -131,11 +131,11 @@ def encode_scientific(
     f = normalize_float(x, precision, mode)
     digits = _strip_trailing_zeros(list(f.mantissa))
     exponent = f.exponent - len(digits)
-    glyphs = _render(1, digits, symbols=table.forward, sep="")
+    glyphs = _render(1, digits, symbols=table.forward)
     if exponent == 0:
         notation = ""
     else:
-        mag = _render(exponent, _digits_of_int(abs(exponent)), symbols=table.forward, sep="")
+        mag = _render(exponent, _digits_of_int(abs(exponent)), symbols=table.forward)
         notation = "10^{" + mag + "}"
     return glyphs, exponent, notation
 
@@ -147,7 +147,7 @@ def verify_constant(
 ) -> EntryStatus:
     """Re-derive one entry from its reference value and compare digit-by-digit
     at the published digit count (or ``precision`` when given).  An
-    out-of-alphabet glyph is a status, not an error."""
+    out-of-alphabet glyph, or no glyphs at all, is a status, not an error."""
     try:
         published = tuple(_decode_raw(entry.glyphs, table))
         if entry.exponent_glyphs is None:
@@ -157,6 +157,9 @@ def verify_constant(
     except UnknownGlyphError as exc:
         return EntryStatus(entry, UNDECODABLE, glyph=exc.glyph, position=exc.position)
     if precision is None:
+        if not published:
+            # blank glyphs publish no digit count to derive at
+            return EntryStatus(entry, UNDECODABLE)
         precision = len(published)
     f = normalize_float(entry.reference_value, precision, TRUNC)
     derived = f.mantissa
@@ -191,7 +194,7 @@ def _digit_csv(digits) -> str:
 
 def _status_detail(s: EntryStatus) -> str:
     if s.kind == UNDECODABLE:
-        return f"glyph {s.glyph!r} at position {s.position}"
+        return "no glyphs" if s.glyph is None else f"glyph {s.glyph!r} at position {s.position}"
     parts = []
     if s.digit_diffs:
         pos = _digit_csv(d.position for d in s.digit_diffs)
@@ -213,7 +216,7 @@ def render_report(report: VerificationReport, machine: bool = False, table: Glyp
     lines = []
     if machine:
         for s in report.statuses:
-            derived = _render(1, s.derived_digits or (), symbols=table.forward, sep="")
+            derived = _render(1, s.derived_digits or (), symbols=table.forward)
             lines.append(
                 "\t".join(
                     (

@@ -17,5 +17,18 @@ class ParseError(SexagesimalError, ValueError):
         self.position = position
 
 
+# a diagnostic quotes at most this many characters of the input it rejects
+QUOTE_CHARS = 40
+
+
+def quote(text: str) -> str:
+    """``repr`` of an input for a diagnostic: whole when short, else its first
+    `QUOTE_CHARS` characters and its length, so that the message stays one
+    short line whatever the input."""
+    if len(text) <= QUOTE_CHARS:
+        return repr(text)
+    return f"{text[:QUOTE_CHARS]!r}... ({len(text)} characters)"
+
+
 class DomainError(SexagesimalError, ValueError):
     """An operation was called outside its mathematical domain."""

@@ -9,14 +9,13 @@ Canonical base-60 text writes sexagesits as decimal numbers separated by
 ``:`` with ``;`` as the radix point, e.g. ``1;59:0:15`` or ``2:49``.
 """
 
-import functools
 import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 
-from .errors import DomainError, ParseError
+from .errors import DomainError, ParseError, quote
 
 Rational = Fraction
 
@@ -41,11 +40,13 @@ PERIOD_STATE_BOUND = 10**6
 # gcd loops, which are faster there.
 _DC_BITS = 512
 
+# the decimal digits; indexed by digit value, also the digit -> text table of
+# decimal text
 _ASCII_DIGITS = "0123456789"
 
-# the digit -> text table of canonical and decimal text: each digit as its
-# decimal numeral
-_NUMERALS = tuple(str(d) for d in range(BASE))
+# canonical text: each sexagesit as the byte whose two hex digits are its
+# decimal numeral, with the tens digit f (dropped) below 10
+_BCD = bytes(d + 0xF0 if d < 10 else d // 10 * 16 + d % 10 for d in range(BASE)).ljust(256, b"\0")
 
 # `_emit_digits` blocks: decimal digits per "%d" block (far below CPython's
 # int-string limit), and ASCII digits to digit values
@@ -68,7 +69,7 @@ def parse_decimal(text: str) -> Fraction:
     i = 0
 
     def fail(msg: str, pos: int):
-        raise DecimalParseError(f"{msg} at position {pos}: {text!r}", position=pos)
+        raise DecimalParseError(f"{msg} at position {pos}: {quote(text)}", position=pos)
 
     if n == 0:
         fail("empty decimal literal", 1)
@@ -112,6 +113,10 @@ def parse_decimal(text: str) -> Fraction:
 
     value = Fraction(to_int(int_part + frac_part, digits_at), 10 ** len(frac_part))
     if exp:
+        # 10**|exp| has |exp| + 1 digits, so the same limit bounds its cost
+        limit = sys.get_int_max_str_digits()
+        if limit and abs(exp) > limit:
+            fail(f"exponent {exp} exceeds the int-string limit of {limit}", exp_at)
         value *= Fraction(10) ** exp
     return sign * value
 
@@ -213,25 +218,29 @@ def _int_of_digits(digits, base: int = BASE) -> int:
     return values[0]
 
 
-def _spell(digits, symbols, sep: str) -> str:
-    """The digits written as symbols[d] each, ``sep`` between them; without
-    a separator, one `str.translate` over the digits as code points."""
-    if sep:
-        return sep.join(map(symbols.__getitem__, digits))
-    return bytes(digits).decode("latin-1").translate(symbols)
+def _spell(digits, symbols) -> str:
+    """The digits written as symbols[d] each, run together by one
+    `str.translate` over the digits as code points; with no ``symbols``, as
+    canonical ``:``-separated decimal numerals."""
+    if symbols is not None:
+        return bytes(digits).decode("latin-1").translate(symbols)
+    # each sexagesit as one packed-BCD byte, hex-printed with ":" between
+    # bytes; below 10 the tens nibble is f, a mark that is then dropped
+    return bytes(digits).translate(_BCD).hex(":").replace("f", "")
 
 
-def _render(sign, int_digits, frac_digits=(), period=(), complete=True, symbols=_NUMERALS, sep=":", point=";") -> str:
+def _render(sign, int_digits, frac_digits=(), period=(), complete=True, symbols=None, point=";") -> str:
     """Positional text in any notation: ``-`` for a negative sign, the
     integer digits, ``point`` and the fractional digits when there are any
     or a period, the period in parentheses, else ``...`` when incomplete.
-    A digit d is written symbols[d] (a glyph table's ``forward`` for
-    glyphs), with ``sep`` between the digits of each part."""
-    text = _spell(int_digits, symbols, sep)
+    A digit d is written symbols[d] with nothing between digits (a glyph
+    table's ``forward`` for glyphs, `_ASCII_DIGITS` for decimal digits), or
+    without ``symbols`` as a canonical ``:``-separated sexagesit."""
+    text = _spell(int_digits, symbols)
     if frac_digits or period:
-        text += point + _spell(frac_digits, symbols, sep)
+        text += point + _spell(frac_digits, symbols)
     if period:
-        text += "(" + _spell(period, symbols, sep) + ")"
+        text += "(" + _spell(period, symbols) + ")"
     elif not complete:
         text += "..."
     return "-" + text if sign < 0 else text
@@ -361,7 +370,7 @@ class Expansion:
     @property
     def _style(self) -> dict:
         # decimal digits run together; sexagesits are ":" separated
-        return {"sep": "", "point": "."} if self.base == 10 else {}
+        return {"symbols": _ASCII_DIGITS, "point": "."} if self.base == 10 else {}
 
     @property
     def preperiod_text(self) -> str:
@@ -436,21 +445,20 @@ def _terminating_frac_len(den: int, base: int) -> int | None:
     return k if rest == 1 else None
 
 
-@functools.cache
-def _sexagesit_pairs() -> tuple[bytes, ...]:
-    """The two sexagesits of each value below 3600, as bytes; built on first
-    use, as it takes about a quarter of the time this module takes to import."""
-    return tuple(bytes(divmod(i, 60)) for i in range(3600))
-
-
 def _emit_digits(walk: bytearray, r: int, den: int, base: int, n: int) -> int:
     """Append the next ``n`` digits of r/den (0 <= r < den) in ``base`` to
     ``walk`` and return the remainder after them.
 
-    One interpreter step per block, not per digit: in base 10 a block is one
-    quotient of up to `_DEC_BLOCK` digits written by ``"%d"``, in base 60 one
-    quotient below 60**4, split into two table pairs.  Other bases, and the
-    last n % 4 sexagesits, take one long-division step per digit.
+    Base 10 takes one quotient of up to `_DEC_BLOCK` digits per interpreter
+    step, written by ``"%d"``.  Every other base runs K = isqrt(n) + 1 long
+    divisions side by side, in byte-aligned fields of one integer (Lamport,
+    "Multiple byte processing with full-word instructions", CACM 1975):
+    field j starts at r * base**(j*S) mod den and yields digits j*S up to
+    (j+1)*S - 1, for S = ceil(n / K).  One step multiplies every field's
+    remainder by base and takes each field's digit from a fixed reciprocal
+    of den (Granlund & Montgomery, PLDI 1994), which is exact because the
+    field product stays below base * den; so S steps of big-int arithmetic
+    emit the n digits.
     """
     if base == 10:
         block, power = _DEC_BLOCK, 10**_DEC_BLOCK
@@ -461,16 +469,42 @@ def _emit_digits(walk: bytearray, r: int, den: int, base: int, n: int) -> int:
             walk += ("%0*d" % (block, c)).encode().translate(_ASCII_TO_DIGIT)
             n -= block
         return r
-    if base == 60:
-        pairs = _sexagesit_pairs()
-        for _ in range(n // 4):
-            c, r = divmod(r * 12_960_000, den)  # 60**4
-            walk += pairs[c // 3600] + pairs[c % 3600]
-        n %= 4
-    for _ in range(n):
-        d, r = divmod(r * base, den)
-        walk.append(d)
-    return r
+    if n <= 0:
+        return r
+    lanes = math.isqrt(n) + 1
+    steps = -(-n // lanes)
+    # x * inv >> shift is x // den for every x < base * den, and a field holds
+    # x * inv < (base + 1) * 2**shift with bits to spare below the next field
+    shift = (base * den).bit_length() + den.bit_length() + 1
+    width = -(-(shift + base.bit_length() + 2) // 8)  # bytes per field
+    inv = -(-(1 << shift) // den)
+    jump = pow(base, steps, den)
+    starts = bytearray()
+    lane = r
+    for _ in range(lanes):
+        starts += lane.to_bytes(width, "little")
+        lane = lane * jump % den
+    rem = int.from_bytes(starts, "little")
+    # after the shift each field's digit sits in its low bits, below the
+    # shifted-in low bits of the next field
+    mask = int.from_bytes(((1 << base.bit_length()) - 1).to_bytes(width, "little") * lanes, "little")
+    size = lanes * width
+    # grow walk in place to its lanes' end, since every byte there is written
+    # below: a zero-filled n-byte temporary left the heap where a period's
+    # tuple goes split, and raised peak RSS by up to 8 MB at 10**6 digits
+    at, end = len(walk), len(walk) + lanes * steps
+    walk.append(0)
+    while len(walk) < end:
+        walk *= 2
+    del walk[end:]
+    for i in range(steps):
+        x = rem * base
+        d = (x * inv >> shift) & mask
+        rem = x - d * den
+        # a digit < base <= 256 is the low byte of its field
+        walk[at + i :: steps] = d.to_bytes(size, "little")[::width]
+    del walk[at + n :]
+    return r * pow(base, n, den) % den
 
 
 def _order(base: int, t: int, m: int, limit: int) -> int | None:
@@ -504,12 +538,12 @@ def _repetend(rem: int, den: int, coprime: int, base: int, preperiod: int, max_f
 
     The pre-period digits are one exact quotient; what follows is the purely
     periodic u/coprime, whose period is the order of base modulo coprime.
-    Long division walks at most m = ceil(sqrt(bound - preperiod)) digits
-    from u, one step each, and a period that closes there comes back as
-    walked.  A longer period's length comes from `_order`, and its other
-    digits from `_emit_digits` in blocks.  When pre-period plus period would
-    exceed `PERIOD_STATE_BOUND` digits the search gives up, and the first
-    min(max_frac, bound) digits come back unresolved.
+    Long division walks at most m = ceil(sqrt(min(bound - preperiod,
+    coprime - 1))) digits from u, one step each, and a period that closes
+    there comes back as walked.  A longer period's length comes from
+    `_order`, and its other digits from `_emit_digits`.  When pre-period
+    plus period would exceed `PERIOD_STATE_BOUND` digits the search gives
+    up, and the first min(max_frac, bound) digits come back unresolved.
     """
     bound = PERIOD_STATE_BOUND
     shown = min(max_frac, bound)
@@ -521,7 +555,8 @@ def _repetend(rem: int, den: int, coprime: int, base: int, preperiod: int, max_f
     # den's part made of base primes divides base**preperiod, hence start
     u = start // (den // coprime)
     limit = bound - preperiod
-    m = math.isqrt(limit - 1) + 1
+    # the period is below coprime, so a small coprime needs a shorter walk
+    m = math.isqrt(min(limit, coprime - 1) - 1) + 1
     walk = bytearray()  # digits of base <= 256 fit a byte each
     r = u
     for _ in range(m):

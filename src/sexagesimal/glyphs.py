@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from importlib.resources import files
 from types import MappingProxyType
 
-from .errors import ParseError
+from .errors import ParseError, quote
 from .exact import BASE, SexNumber, _render
 
 # values 36..59; index 14 (= value 50) is LATIN SMALL LETTER O, as published
@@ -108,7 +108,7 @@ def _read_tsv(resource: str) -> list[list[str]]:
 
 def encode_glyphs(x: SexNumber, table: GlyphTable = DEFAULT_TABLE) -> str:
     """One canonical glyph per sexagesit; ``;`` as radix point, ``-`` sign."""
-    return _render(x.sign, x.int_digits, x.frac_digits, symbols=table.forward, sep="")
+    return _render(x.sign, x.int_digits, x.frac_digits, symbols=table.forward)
 
 
 def _decode_raw(text: str, table: GlyphTable) -> list[int]:
@@ -185,7 +185,7 @@ def decode_canonical(text: str) -> SexNumber:
         while i < n and s[i].isascii() and s[i].isdigit():
             i += 1
         if i == start:
-            raise GlyphError(f"expected sexagesit at position {start + 1}: {text!r}", position=start + 1)
+            raise GlyphError(f"expected sexagesit at position {start + 1}: {quote(text)}", position=start + 1)
         token = s[start:i]
         if len(token) > 2:
             token = token.lstrip("0") or "0"

@@ -246,6 +246,47 @@ class TestIntStringLimit:
         assert proc.stderr == f"sexagesimal convert: error (glyphs): sexagesit {literal} out of range at position 1\n"
 
 
+class TestBoundedInput:
+    # a diagnostic quotes at most 40 characters of the input, and a decimal
+    # exponent obeys the int-string limit, so no literal makes a long line
+    # or an unbounded power of ten
+    @pytest.mark.parametrize(
+        "notation, literal, message",
+        [
+            ("decimal", "1" * 5000, "5000 digits exceed the int-string limit of 4300 at position 1"),
+            ("decimal", "1" * 4999 + "x", "unexpected character 'x' at position 5000"),
+            ("canonical", "1:;" + "1" * 4997, "expected sexagesit at position 3"),
+        ],
+        ids=["past-limit", "malformed", "canonical"],
+    )
+    def test_long_literal_gives_one_short_line(self, notation, literal, message):
+        argv = ["-X", "int_max_str_digits=4300", "-m", "sexagesimal", "convert", "--from", notation, literal]
+        proc = run_python(argv, timeout=20)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert len(proc.stderr.splitlines()) == 1 and len(proc.stderr) < 200
+        assert message in proc.stderr
+        assert proc.stderr.endswith(f": {literal[:40]!r}... (5000 characters)\n")
+
+    @pytest.mark.parametrize("literal", ["1e-999999999", "1e99999999", "0e4301"])
+    def test_exponent_past_limit_is_a_parse_error(self, literal):
+        # each built 10**|exponent| and ran past any timeout
+        argv = ["-X", "int_max_str_digits=4300", "-m", "sexagesimal", "convert", literal]
+        proc = run_python(argv, timeout=20)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        mantissa, exponent = literal.split("e")
+        position = len(mantissa) + 2 + exponent.startswith("-")  # its first digit
+        assert proc.stderr == (
+            f"sexagesimal convert: error (exact): exponent {int(exponent)} exceeds the int-string limit"
+            f" of 4300 at position {position}: {literal!r}\n"
+        )
+
+    def test_exponent_at_limit_and_without_limit(self):
+        for limit, literal in (("4300", "1e-4300"), ("0", "1e-5000")):
+            argv = ["-X", f"int_max_str_digits={limit}", "-m", "sexagesimal", "convert", literal]
+            proc = run_python(argv, timeout=20)
+            assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0...\n", "")
+
+
 def test_generators_past_int_string_limit():
     # a 3000-digit P gives sides of about 6000 digits
     p = "2" + "0" * 2998 + "1" + "0"

@@ -154,6 +154,19 @@ class TestVerifyTable:
         report = verify_table([entry])
         assert [s.kind for s in report.statuses] == [MATCH]
 
+    @pytest.mark.parametrize("glyphs", ["", "  "])
+    def test_blank_glyphs_are_a_status(self, glyphs):
+        # no glyphs publish no digit count, so nothing is derived
+        entry = ConstantEntry("blank", "b", glyphs, None, "-", Fraction(3), "synthetic")
+        status = verify_constant(entry)
+        assert (status.kind, status.glyph, status.derived_digits) == (UNDECODABLE, None, None)
+        report = verify_table([entry, _entry_by_symbol("g_N")])
+        assert [s.kind for s in report.statuses] == [UNDECODABLE, MATCH]
+        assert render_report(report).splitlines()[0].endswith("undecodable  no glyphs")
+        assert render_report(report, machine=True).splitlines()[0].endswith("\tno glyphs")
+        # an explicit digit count still derives, and every derived digit differs
+        assert verify_constant(entry, precision=2).kind == MISMATCH
+
     def test_human_report_matches_fixture(self):
         got = render_report(verify_table())
         assert got == (DATA / "constants_report.txt").read_text(encoding="utf-8")

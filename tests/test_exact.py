@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
@@ -74,6 +75,26 @@ class TestParseDecimal:
         with pytest.raises(ParseError) as err:
             parse_decimal(text)
         assert err.value.position == position
+
+    def test_exponent_past_the_int_string_limit(self):
+        # 10**|exp| has |exp| + 1 digits, so |exp| obeys the literal limit
+        limit = sys.get_int_max_str_digits()
+        if not limit:
+            pytest.skip("no int-string limit in force")
+        assert parse_decimal(f"1e{limit}") == 10**limit
+        assert parse_decimal(f"1e-{limit}") == Fraction(1, 10**limit)
+        # the position is that of the exponent's first digit
+        for text, position in ((f"1e{limit + 1}", 3), (f"0e-{limit + 1}", 4), ("2.5e-999999999", 6)):
+            with pytest.raises(ParseError, match="exponent .* exceeds the int-string limit") as err:
+                parse_decimal(text)
+            assert err.value.position == position
+
+    def test_diagnostic_quotes_a_clipped_literal(self):
+        text = "1x" + "1" * 5000
+        with pytest.raises(ParseError) as err:
+            parse_decimal(text)
+        assert err.value.position == 2
+        assert str(err.value) == "unexpected character 'x' at position 2: '1x" + "1" * 38 + "'... (5002 characters)"
 
 
 class TestArith:
@@ -517,8 +538,9 @@ class TestOrder:
 
 
 class TestEmitDigits:
-    # one block is _DEC_BLOCK decimal digits or 4 sexagesits; 3 * block + 2
-    # crosses two block boundaries and leaves a short last block
+    # one block is _DEC_BLOCK decimal digits; 3 * block + 2 crosses two block
+    # boundaries and leaves a short last block.  Base 60 runs isqrt(n) + 1
+    # lanes, and its n of up to 14 give two to four of them.
     @pytest.mark.parametrize("base, block", [(10, _DEC_BLOCK), (60, 4)])
     @pytest.mark.parametrize("num, den", [(1, 7), (5, 97), (3, 2**70 * 3 * 7 + 1), (10**39, 10**40 + 1), (1, 2**9)])
     def test_against_long_division(self, base, block, num, den):
@@ -537,10 +559,61 @@ class TestEmitDigits:
         assert not pre and tuple(walk) == tuple(period)
 
 
+def _lane_edges(k):
+    # K = k lanes serve n in [(k-1)**2, k*k - 1], with S = ceil(n / K) steps:
+    # n = k*(k-1) fills every lane, one more leaves K - 1 digits trimmed
+    edges = {0, 1, k - 1, k, k + 1, k * k - k - 1, k * k - k, k * k - k + 1, k * k - 1, k * k}
+    return sorted(n for n in edges if n >= 0)
+
+
+class TestEmitLanes:
+    # every base but 10 runs isqrt(n) + 1 long divisions side by side in the
+    # fields of one integer; field widths follow den and base, so cover
+    # byte-sized and 256-ary digits, one-limb and many-limb denominators
+    @given(
+        st.sampled_from([2, 7, 60, 256]),
+        st.one_of(st.integers(1, 2**64), st.integers(2**64, 2**200)),
+        st.integers(1, 60).flatmap(lambda k: st.sampled_from(_lane_edges(k))),
+        st.data(),
+    )
+    def test_against_per_digit_long_division(self, base, den, n, data):
+        r = data.draw(st.integers(0, den - 1), label="r")
+        walk = bytearray([7, 7])
+        rest = _emit_digits(walk, r, den, base, n)
+        assert list(walk) == [7, 7] + _frac_stream(r, den, base, n)
+        assert rest == r * pow(base, n, den) % den
+
+    # a den sharing a prime with base lets r * base be an exact multiple of
+    # den, where a reciprocal rounded down gives a digit one too small
+    @pytest.mark.parametrize(
+        "r, den, base",
+        [(7, 21, 60), (5, 45, 60), (3, 12, 2), (3 * 2**62, 3 * 2**70, 256), (2 * 3**40, 3**41 * 7, 7 * 3)],
+    )
+    def test_exact_multiples_of_den(self, r, den, base):
+        for n in (1, 2, 9, 100):
+            walk = bytearray()
+            assert _emit_digits(walk, r, den, base, n) == r * pow(base, n, den) % den
+            assert list(walk) == _frac_stream(r, den, base, n)
+
+    def test_base_sixty_period_within_deadline(self):
+        # 1/999983 has a 999982-sexagesit period.  One 60**4 quotient per
+        # interpreter step made its base-60 expansion cost 5-6.5x the base-10
+        # one (300 digits a step); side-by-side lanes cost about 2x.
+        x = Fraction(1, 999983)
+        sixty, ten = _best_of_5(lambda: to_sexagesimal(x, 8, detect_repetend=True), lambda: to_decimal(x))
+        assert sixty <= 3.5 * ten
+        info = to_sexagesimal(x, 8, detect_repetend=True)[1]
+        assert len(info.period) == 999982
+        assert info.period[:6] == tuple(_frac_stream(1, 999983, 60, 6))
+        # the last six digits start at remainder 60**(period - 6) = 60**-6 mod 999983
+        assert info.period[-6:] == tuple(_frac_stream(pow(60, -6, 999983), 999983, 60, 6))
+
+
 class TestRepetendRoutes:
-    # the short walk takes periods up to m = ceil(sqrt(bound - preperiod));
-    # longer ones go through _order and _emit_digits: both must agree with
-    # long division on either side of m and of the bound
+    # the short walk takes periods up to m = ceil(sqrt(min(bound - preperiod,
+    # t - 1))), for t the part of den coprime to base; longer ones go through
+    # _order and _emit_digits: both must agree with long division on either
+    # side of m and of the bound
     @given(
         st.sampled_from([10, 60]),
         st.integers(1, 3_000),
@@ -568,6 +641,25 @@ class TestRepetendRoutes:
         else:
             assert not info.complete and info.period == ()
             assert info.frac_digits == tuple(_frac_stream(num, den, base, min(max_frac, bound)))
+
+    # an order of m - 1 or m closes within the walk, m + 1 goes through
+    # _order; the old m of ceil(sqrt(bound)) walked all three
+    @pytest.mark.parametrize(
+        "base, t, order",
+        [(10, 73, 8), (10, 81, 9), (10, 387, 21), (60, 403, 20), (60, 3481, 59), (60, 131, 13)],
+    )
+    @pytest.mark.parametrize("cofactor", [1, 2**5])
+    def test_walk_bounded_by_the_denominator(self, base, t, order, cofactor, monkeypatch):
+        m = math.isqrt(t - 2) + 1
+        assert _order(base, t, 1, t) == order and abs(order - m) <= 1
+        searched = []
+        monkeypatch.setattr(exact, "_order", lambda *args: searched.append(args) or _order(*args))
+        x = Fraction(1, t * cofactor)
+        info = to_decimal(x) if base == 10 else to_sexagesimal(x, 8, detect_repetend=True)[1]
+        pre, period = _longdiv(1, t * cofactor, base, limit=10**4)
+        assert info.complete and (info.frac_digits, info.period) == (tuple(pre), tuple(period))
+        assert len(period) == order
+        assert bool(searched) == (order > m)
 
     def test_give_up_past_a_raised_bound_within_deadline(self):
         # 30000023 is a full-reptend prime in base 10 and base 60: its period
