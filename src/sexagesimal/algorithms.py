@@ -7,16 +7,30 @@ approximate results and they carry their own precision contract.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import DomainError
-from .exact import BASE, TRUNC, Rational, SexNumber, _diff_digits, _round_to, _split_denominator, int_sqrt
+from .exact import (
+    BASE,
+    TRUNC,
+    Rational,
+    SexNumber,
+    _diff_digits,
+    _Record,
+    _round_to,
+    _setattr,
+    _split_denominator,
+    int_sqrt,
+)
 from .floating import SexFloat, _magnitude_exponent
 from .glyphs import GlyphError, _read_tsv, decode_glyphs
 
 HERON_ITERATION_CAP = 1000
+
+# `nontrivial_divisors` finds divisors by trial division up to sqrt(n), so it
+# refuses n above this bound: at most 10**6 divisions
+DIVISORS_BOUND = 10**12
 
 # interpretations of the tablet's ratio column
 RATIO_DIAGONAL = "d2b2"  # (d/b)^2, reproduces the printed leading 1
@@ -35,30 +49,35 @@ class Regularity(NamedTuple):
     cofactor: int
 
 
-@dataclass(frozen=True)
-class Triple:
+class Triple(_Record):
     """A Pythagorean triple: short side, medium side, diagonal."""
 
     a: int
     b: int
     d: int
 
-    def __post_init__(self):
-        if not 0 < self.a <= self.b < self.d:
+    def __init__(self, a: int, b: int, d: int):
+        _setattr(self, "a", a)
+        _setattr(self, "b", b)
+        _setattr(self, "d", d)
+        if not 0 < a <= b < d:
             raise ValueError("sides must satisfy 0 < a <= b < d")
-        if self.a**2 + self.b**2 != self.d**2:
+        if a**2 + b**2 != d**2:
             raise ValueError("not a Pythagorean triple")
 
 
-@dataclass(frozen=True)
-class HeronResult:
+class HeronResult(_Record):
     value: SexFloat
     iterations: int
     residual: Fraction
 
+    def __init__(self, value: SexFloat, iterations: int, residual: Fraction):
+        _setattr(self, "value", value)
+        _setattr(self, "iterations", iterations)
+        _setattr(self, "residual", residual)
 
-@dataclass(frozen=True)
-class PlimptonRow:
+
+class PlimptonRow(_Record):
     """One reconstructed tablet row: the ratio column as exact sexagesimal
     digits, plus the short side and diagonal."""
 
@@ -67,15 +86,19 @@ class PlimptonRow:
     a: int
     d: int
 
-    def __post_init__(self):
-        if not 1 <= self.index <= 15:
+    def __init__(self, index: int, ratio_digits: SexNumber, a: int, d: int):
+        _setattr(self, "index", index)
+        _setattr(self, "ratio_digits", ratio_digits)
+        _setattr(self, "a", a)
+        _setattr(self, "d", d)
+        if not 1 <= index <= 15:
             raise ValueError("row index must be in 1..15")
-        if not 0 < self.a < self.d:
+        if not 0 < a < d:
             raise ValueError("require 0 < a < d")
-        root, perfect = int_sqrt(self.d**2 - self.a**2)
+        root, perfect = int_sqrt(d**2 - a**2)
         if not perfect:
             raise ValueError("d^2 - a^2 is not a perfect square")
-        object.__setattr__(self, "_b", root)
+        _setattr(self, "_b", root)
 
     @property
     def b(self) -> int:
@@ -149,9 +172,12 @@ def heron_area(a: Rational, b: Rational, c: Rational, precision: int = 8) -> Sex
 
 
 def nontrivial_divisors(n: int) -> list[int]:
-    """All divisors d of n with 1 < d < n, ascending."""
+    """All divisors d of n with 1 < d < n, ascending, for 2 <= n <=
+    `DIVISORS_BOUND`."""
     if n < 2:
         raise DomainError("n must be at least 2")
+    if n > DIVISORS_BOUND:
+        raise DomainError(f"n must be at most {DIVISORS_BOUND} (divisors are found by trial division)")
     small, large = [], []
     for d in range(2, math.isqrt(n) + 1):
         if n % d == 0:
@@ -236,8 +262,7 @@ class DigitMismatch(NamedTuple):
     computed: int | None
 
 
-@dataclass(frozen=True)
-class RowDiff:
+class RowDiff(_Record):
     """Reconstruction of one row diffed against its published glyphs."""
 
     index: int
@@ -245,6 +270,20 @@ class RowDiff:
     published: SexNumber | None
     mismatches: tuple[DigitMismatch, ...]
     error: str | None
+
+    def __init__(
+        self,
+        index: int,
+        row: PlimptonRow | None,
+        published: SexNumber | None,
+        mismatches: tuple[DigitMismatch, ...],
+        error: str | None,
+    ):
+        _setattr(self, "index", index)
+        _setattr(self, "row", row)
+        _setattr(self, "published", published)
+        _setattr(self, "mismatches", mismatches)
+        _setattr(self, "error", error)
 
     @property
     def ok(self) -> bool:

@@ -8,12 +8,11 @@ reference value at the published digit count and reports match, per-digit
 mismatch, or undecodable -- published strings are never "corrected".
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import DomainError
-from .exact import TRUNC, _diff_digits, _digits_of_int, _int_of_digits, _render, parse_decimal
+from .exact import TRUNC, _diff_digits, _digits_of_int, _int_of_digits, _Record, _render, _setattr, parse_decimal
 from .floating import normalize_float
 from .glyphs import DEFAULT_TABLE, GlyphTable, UnknownGlyphError, _decode_raw, _read_tsv
 
@@ -24,8 +23,7 @@ MISMATCH = "mismatch"
 UNDECODABLE = "undecodable"
 
 
-@dataclass(frozen=True)
-class ConstantEntry:
+class ConstantEntry(_Record):
     name: str
     symbol: str
     glyphs: str
@@ -34,8 +32,24 @@ class ConstantEntry:
     reference_value: Fraction
     reference_source: str
 
-    def __post_init__(self):
-        if self.reference_value <= 0:
+    def __init__(
+        self,
+        name: str,
+        symbol: str,
+        glyphs: str,
+        exponent_glyphs: str | None,
+        unit: str,
+        reference_value: Fraction,
+        reference_source: str,
+    ):
+        _setattr(self, "name", name)
+        _setattr(self, "symbol", symbol)
+        _setattr(self, "glyphs", glyphs)
+        _setattr(self, "exponent_glyphs", exponent_glyphs)
+        _setattr(self, "unit", unit)
+        _setattr(self, "reference_value", reference_value)
+        _setattr(self, "reference_source", reference_source)
+        if reference_value <= 0:
             raise ValueError("reference value must be positive")
 
 
@@ -45,24 +59,47 @@ class DigitDiff(NamedTuple):
     derived: int | None
 
 
-@dataclass(frozen=True)
-class EntryStatus:
+class EntryStatus(_Record):
     """Verification outcome for one entry."""
 
     entry: ConstantEntry
     kind: str
-    published_digits: tuple[int, ...] | None = None
-    derived_digits: tuple[int, ...] | None = None
-    published_scale: int | None = None
-    derived_scale: int | None = None
-    digit_diffs: tuple[DigitDiff, ...] = ()
-    glyph: str | None = None  # offending glyph when undecodable
-    position: int | None = None
+    published_digits: tuple[int, ...] | None
+    derived_digits: tuple[int, ...] | None
+    published_scale: int | None
+    derived_scale: int | None
+    digit_diffs: tuple[DigitDiff, ...]
+    glyph: str | None  # offending glyph when undecodable
+    position: int | None
+
+    def __init__(
+        self,
+        entry: ConstantEntry,
+        kind: str,
+        published_digits: tuple[int, ...] | None = None,
+        derived_digits: tuple[int, ...] | None = None,
+        published_scale: int | None = None,
+        derived_scale: int | None = None,
+        digit_diffs: tuple[DigitDiff, ...] = (),
+        glyph: str | None = None,
+        position: int | None = None,
+    ):
+        _setattr(self, "entry", entry)
+        _setattr(self, "kind", kind)
+        _setattr(self, "published_digits", published_digits)
+        _setattr(self, "derived_digits", derived_digits)
+        _setattr(self, "published_scale", published_scale)
+        _setattr(self, "derived_scale", derived_scale)
+        _setattr(self, "digit_diffs", digit_diffs)
+        _setattr(self, "glyph", glyph)
+        _setattr(self, "position", position)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(_Record):
     statuses: tuple[EntryStatus, ...]
+
+    def __init__(self, statuses: tuple[EntryStatus, ...]):
+        _setattr(self, "statuses", statuses)
 
     def count(self, kind: str) -> int:
         return sum(1 for s in self.statuses if s.kind == kind)

@@ -11,7 +11,6 @@ Canonical base-60 text writes sexagesits as decimal numbers separated by
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 
@@ -253,8 +252,47 @@ def _diff_digits(published, derived, record) -> tuple:
     return tuple(record(i, p, d) for i, (p, d) in pairs if p != d)
 
 
-@dataclass(frozen=True)
-class SexNumber:
+# a record's __init__ sets its fields with this, past `_Record.__setattr__`;
+# bound once, it takes one lookup fewer per field than object.__setattr__
+_setattr = object.__setattr__
+
+
+class _Record:
+    """Immutable value behaviour over the fields a subclass annotates, in
+    order, which its ``__init__`` sets with `_setattr`: fields cannot be
+    assigned or deleted, records of one class compare and hash by their
+    field values, and the repr is ``Name(field=value, ...)``.  The fields
+    are also the positional ``match`` arguments, unless the subclass
+    names its own ``__match_args__``."""
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        cls._fields = tuple(cls.__annotations__)
+        cls.__match_args__ = vars(cls).get("__match_args__", cls._fields)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class SexNumber(_Record):
     """A base-60 positional numeral: sign, digits (most significant first),
     and how many of those digits lie right of the radix point.
 
@@ -267,29 +305,32 @@ class SexNumber:
     digits: tuple[int, ...]
     frac_count: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "digits", tuple(self.digits))
-        if self.sign not in (-1, 0, 1):
-            raise ValueError(f"sign must be -1, 0 or 1, not {self.sign!r}")
-        if not self.digits:
+    def __init__(self, sign: int, digits: tuple[int, ...], frac_count: int):
+        digits = tuple(digits)
+        _setattr(self, "sign", sign)
+        _setattr(self, "digits", digits)
+        _setattr(self, "frac_count", frac_count)
+        if sign not in (-1, 0, 1):
+            raise ValueError(f"sign must be -1, 0 or 1, not {sign!r}")
+        if not digits:
             raise ValueError("digit sequence is empty")
-        for d in self.digits:
+        for d in digits:
             if not (isinstance(d, int) and 0 <= d < BASE):
                 raise ValueError(f"sexagesit out of range: {d!r}")
-        if not 0 <= self.frac_count <= len(self.digits):
+        if not 0 <= frac_count <= len(digits):
             raise ValueError("frac_count out of range")
-        if self.sign == 0:
-            if self.digits != (0,) or self.frac_count != 0:
+        if sign == 0:
+            if digits != (0,) or frac_count != 0:
                 raise ValueError("zero must be digits=(0,), frac_count=0")
             return
-        int_digits = self.digits[: len(self.digits) - self.frac_count]
+        int_digits = digits[: len(digits) - frac_count]
         if not int_digits:
             raise ValueError("integer part must carry at least one digit")
         if len(int_digits) > 1 and int_digits[0] == 0:
             raise ValueError("leading zero in integer part")
-        if int_digits == (0,) and self.frac_count == 0:
+        if int_digits == (0,) and frac_count == 0:
             raise ValueError("nonzero sign with zero digits")
-        if self.frac_count and self.digits[-1] == 0:
+        if frac_count and digits[-1] == 0:
             raise ValueError("trailing zero fractional digit")
 
     @classmethod
@@ -346,8 +387,7 @@ def from_sexagesimal(x: SexNumber) -> Fraction:
     return Fraction(x.sign * _int_of_digits(x.digits), BASE**x.frac_count)
 
 
-@dataclass(frozen=True)
-class Expansion:
+class Expansion(_Record):
     """The exact positional expansion of a rational in some base.
 
     ``frac_digits`` holds the emitted fractional digits before any repetend;
@@ -366,6 +406,26 @@ class Expansion:
     terminates: bool
     frac_len: int | None
     complete: bool
+
+    def __init__(
+        self,
+        sign: int,
+        int_digits: tuple[int, ...],
+        frac_digits: tuple[int, ...],
+        period: tuple[int, ...],
+        base: int,
+        terminates: bool,
+        frac_len: int | None,
+        complete: bool,
+    ):
+        _setattr(self, "sign", sign)
+        _setattr(self, "int_digits", int_digits)
+        _setattr(self, "frac_digits", frac_digits)
+        _setattr(self, "period", period)
+        _setattr(self, "base", base)
+        _setattr(self, "terminates", terminates)
+        _setattr(self, "frac_len", frac_len)
+        _setattr(self, "complete", complete)
 
     @property
     def _style(self) -> dict:

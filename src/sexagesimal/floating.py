@@ -7,32 +7,43 @@ exponent bias is fixed to 0 throughout).
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
-from .exact import BASE, TRUNC, SexNumber, _check_mode, _digits_of_int, _int_of_digits, _round_quotient
+from .exact import (
+    BASE,
+    TRUNC,
+    SexNumber,
+    _check_mode,
+    _digits_of_int,
+    _int_of_digits,
+    _Record,
+    _round_quotient,
+    _setattr,
+)
 
 
-@dataclass(frozen=True)
-class SexFloat:
+class SexFloat(_Record):
     sign: int
     mantissa: tuple[int, ...]
     exponent: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "mantissa", tuple(self.mantissa))
-        if self.sign not in (-1, 0, 1):
-            raise ValueError(f"sign must be -1, 0 or 1, not {self.sign!r}")
-        if not self.mantissa:
+    def __init__(self, sign: int, mantissa: tuple[int, ...], exponent: int):
+        mantissa = tuple(mantissa)
+        _setattr(self, "sign", sign)
+        _setattr(self, "mantissa", mantissa)
+        _setattr(self, "exponent", exponent)
+        if sign not in (-1, 0, 1):
+            raise ValueError(f"sign must be -1, 0 or 1, not {sign!r}")
+        if not mantissa:
             raise ValueError("mantissa is empty")
-        for d in self.mantissa:
+        for d in mantissa:
             if not (isinstance(d, int) and 0 <= d < BASE):
                 raise ValueError(f"sexagesit out of range: {d!r}")
-        if self.sign == 0:
-            if any(self.mantissa) or self.exponent != 0:
+        if sign == 0:
+            if any(mantissa) or exponent != 0:
                 raise ValueError("zero must have an all-zero mantissa and exponent 0")
-        elif self.mantissa[0] == 0:
+        elif mantissa[0] == 0:
             raise ValueError("mantissa is not normalized (leading sexagesit 0)")
 
     @classmethod

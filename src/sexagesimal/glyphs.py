@@ -7,12 +7,11 @@ accepts a few typographic variants (phi/epsilon/theta symbol forms, Greek
 omicron) via an alias table; encoding only ever emits canonical glyphs.
 """
 
-from dataclasses import dataclass, field
-from importlib.resources import files
+import os
 from types import MappingProxyType
 
-from .errors import ParseError, quote
-from .exact import BASE, SexNumber, _render
+from .errors import QUOTE_CHARS, ParseError, quote
+from .exact import BASE, SexNumber, _Record, _render, _setattr
 
 # values 36..59; index 14 (= value 50) is LATIN SMALL LETTER O, as published
 _GREEK = "αβγδεζηθικλμ" \
@@ -49,31 +48,35 @@ class DigitRangeError(GlyphError):
     pass
 
 
-@dataclass(frozen=True)
-class GlyphTable:
-    """Immutable digit<->glyph mapping with decode-only aliases."""
+class GlyphTable(_Record):
+    """Immutable digit<->glyph mapping with decode-only aliases; ``forward``
+    and ``aliases`` default to the standard alphabet's, and are kept as
+    read-only copies."""
 
-    forward: dict = field(default_factory=lambda: dict(_DEFAULT_FORWARD))
-    aliases: dict = field(default_factory=lambda: dict(_DEFAULT_ALIASES))
-    reverse: dict = field(init=False)
+    forward: dict
+    aliases: dict
+    reverse: dict
+    __match_args__ = ("forward", "aliases")  # the constructor's; reverse is derived
 
-    def __post_init__(self):
-        if sorted(self.forward) != list(range(BASE)):
+    def __init__(self, forward: dict | None = None, aliases: dict | None = None):
+        forward = _DEFAULT_FORWARD if forward is None else forward
+        aliases = _DEFAULT_ALIASES if aliases is None else aliases
+        if sorted(forward) != list(range(BASE)):
             raise ValueError("forward map must cover exactly the values 0..59")
-        if len(set(self.forward.values())) != BASE:
+        if len(set(forward.values())) != BASE:
             raise ValueError("forward map is not injective")
-        for g in self.forward.values():
+        for g in forward.values():
             if len(g) != 1:
                 raise ValueError(f"glyph {g!r} is not a single character")
-        reverse = {g: v for v, g in self.forward.items()}
-        for g, v in self.aliases.items():
+        reverse = {g: v for v, g in forward.items()}
+        for g, v in aliases.items():
             if g in reverse:
                 raise ValueError(f"alias {g!r} shadows a primary glyph")
-            if v not in self.forward:
+            if v not in forward:
                 raise ValueError(f"alias {g!r} maps to invalid value {v!r}")
-        object.__setattr__(self, "forward", MappingProxyType(dict(self.forward)))
-        object.__setattr__(self, "aliases", MappingProxyType(dict(self.aliases)))
-        object.__setattr__(self, "reverse", MappingProxyType(reverse))
+        _setattr(self, "forward", MappingProxyType(dict(forward)))
+        _setattr(self, "aliases", MappingProxyType(dict(aliases)))
+        _setattr(self, "reverse", MappingProxyType(reverse))
 
     def glyph(self, value: int) -> str:
         return self.forward[value]
@@ -101,8 +104,11 @@ DEFAULT_TABLE = GlyphTable()
 
 def _read_tsv(resource: str) -> list[list[str]]:
     """The tab-separated fields of each line of an embedded data file,
-    skipping blank lines and ``#`` comment lines."""
-    text = files(__package__).joinpath(resource).read_text("utf-8")
+    skipping blank lines and ``#`` comment lines.  The package's loader
+    reads it, as `pkgutil.get_data` would, without the imports of
+    `importlib.resources`."""
+    path = os.path.join(os.path.dirname(__file__), *resource.split("/"))
+    text = __spec__.loader.get_data(path).decode("utf-8")
     return [line.split("\t") for line in text.splitlines() if line and not line.startswith("#")]
 
 
@@ -193,9 +199,8 @@ def decode_canonical(text: str) -> SexNumber:
         # out of range without converting it (and whatever its length)
         value = int(token) if len(token) <= 2 else BASE
         if value >= BASE:
-            raise DigitRangeError(
-                f"sexagesit {token} out of range at position {start + 1}", position=start + 1
-            )
+            shown = token if len(token) <= QUOTE_CHARS else quote(token)
+            raise DigitRangeError(f"sexagesit {shown} out of range at position {start + 1}", position=start + 1)
         digits.append(value)
         if i == n:
             break

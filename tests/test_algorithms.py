@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import run_python
-from sexagesimal import exact
+from sexagesimal import algorithms, exact
 from sexagesimal import (
     DomainError,
     PlimptonRow,
@@ -208,6 +208,12 @@ class TestDivisors:
     def test_validation(self):
         with pytest.raises(DomainError):
             nontrivial_divisors(1)
+
+    def test_bound(self):
+        # 10**12 = 2**12 * 5**12 has 13 * 13 divisors, found in 10**6 steps
+        assert len(nontrivial_divisors(algorithms.DIVISORS_BOUND)) == 13 * 13 - 2
+        with pytest.raises(DomainError, match="^n must be at most 1000000000000 "):
+            nontrivial_divisors(algorithms.DIVISORS_BOUND + 1)
 
     def test_product_formula_cross_check(self):
         # sieve-based oracle plus the standard prod(e_i + 1) - 2 count

@@ -160,6 +160,21 @@ def test_stderr_clean_on_success(capsys):
     assert captured.err == ""
 
 
+def test_divisors_past_bound_finishes():
+    # trial division to sqrt(10**21) would take 3 * 10**10 steps
+    proc = run_python(["-m", "sexagesimal", "divisors", "1000000000000000000000"], timeout=10)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith("sexagesimal divisors: error (algorithms): n must be at most 1000000000000")
+
+
+def test_cli_import_skips_dataclasses_and_inspect():
+    # -S leaves out site and whatever its .pth files import
+    code = "import sys, sexagesimal.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = run_python(["-S", "-c", code], timeout=20)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
 def test_sqrt_of_small_value_finishes():
     # from the start 1 the exact iterates doubled in size for 18 steps
     proc = run_python(["-m", "sexagesimal", "sqrt", "--p", "8", "0.00000001"], timeout=5)
@@ -243,7 +258,16 @@ class TestIntStringLimit:
         argv = ["-X", "int_max_str_digits=4300", "-m", "sexagesimal", "convert", "--from", "canonical", literal]
         proc = run_python(argv, timeout=20)
         assert (proc.returncode, proc.stdout) == (1, "")
-        assert proc.stderr == f"sexagesimal convert: error (glyphs): sexagesit {literal} out of range at position 1\n"
+        # the token is clipped like any quoted input, so the line stays short
+        clipped = f"'{literal[:40]}'... (5000 characters)"
+        assert proc.stderr == f"sexagesimal convert: error (glyphs): sexagesit {clipped} out of range at position 1\n"
+
+    @pytest.mark.parametrize("literal, token, position", [("1:75", "75", 3), ("9" * 40, "9" * 40, 1)])
+    def test_canonical_short_sexagesit_is_shown_whole(self, literal, token, position, capsys):
+        # up to 40 characters the token is written as typed, without quotes
+        assert main(["convert", "--from", "canonical", literal]) == 1
+        expected = f"sexagesimal convert: error (glyphs): sexagesit {token} out of range at position {position}\n"
+        assert capsys.readouterr().err == expected
 
 
 class TestBoundedInput:
