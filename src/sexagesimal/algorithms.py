@@ -13,7 +13,6 @@ from typing import NamedTuple
 from .errors import DomainError
 from .exact import (
     BASE,
-    TRUNC,
     Rational,
     SexNumber,
     _diff_digits,
@@ -26,7 +25,13 @@ from .exact import (
 from .floating import SexFloat, _magnitude_exponent
 from .glyphs import GlyphError, _read_tsv, decode_glyphs
 
-HERON_ITERATION_CAP = 1000
+# `heron_sqrt` keeps its iterates exact, so each step about doubles their
+# size, and a start far from the root would cost time without limit.  It
+# refuses to step from an iterate whose numerator and denominator together
+# pass this many bits, where one step costs seconds.  Iterates from a start
+# within a thousandfold of the root, at up to 8 sexagesits, stay below half
+# of it.
+HERON_OPERAND_BITS = 2**21
 
 # `nontrivial_divisors` finds divisors by trial division up to sqrt(n), so it
 # refuses n above this bound: at most 10**6 divisions
@@ -123,7 +128,8 @@ def heron_sqrt(
     sexagesits and normalized.  ``start`` defaults to isqrt(floor(x)) for
     x >= 1, and for x < 1 to isqrt(floor(x * 60**(2k))) / 60**k with k the
     least k >= 1 such that x * 60**(2k) >= 60**2: a root of at least two
-    sexagesits, so the start is within one sexagesit of sqrt(x).
+    sexagesits, so the start is within one sexagesit of sqrt(x).  An
+    iterate past `HERON_OPERAND_BITS` before convergence is a `DomainError`.
     """
     x = Fraction(x)
     if x <= 0:
@@ -141,15 +147,15 @@ def heron_sqrt(
         if cur <= 0:
             raise DomainError("starting guess must be positive")
     eps = Fraction(1, 60**precision)
-    for iterations in range(1, HERON_ITERATION_CAP + 1):
+    iterations, residual = 0, eps
+    while residual >= eps:
+        if cur.numerator.bit_length() + cur.denominator.bit_length() > HERON_OPERAND_BITS:
+            raise DomainError(f"iterate passed {HERON_OPERAND_BITS} bits (HERON_OPERAND_BITS) before converging")
         nxt = (cur + x / cur) / 2
         residual = abs(nxt - cur)
         cur = nxt
-        if residual < eps:
-            break
-    else:
-        raise DomainError(f"no convergence within {HERON_ITERATION_CAP} iterations")
-    number = _round_to(cur, precision, TRUNC)
+        iterations += 1
+    number = _round_to(cur, precision)
     if number.is_zero:
         value = SexFloat.zero(precision)
     else:
@@ -219,7 +225,7 @@ def _terminating_sexagesimal(x: Fraction) -> SexNumber:
     frac_len, cofactor = _split_denominator(x.denominator, BASE)
     if cofactor != 1:
         raise DomainError(f"expansion of {x} does not terminate (denominator cofactor {cofactor})")
-    return _round_to(x, frac_len, TRUNC)
+    return _round_to(x, frac_len)
 
 
 def plimpton_row_compute(a: int, d: int, index: int, ratio: str = RATIO_DIAGONAL) -> PlimptonRow:

@@ -36,11 +36,12 @@ from .exact import (
     to_sexagesimal,
 )
 from .floating import machine_epsilon
-from .glyphs import DEFAULT_TABLE, decode_canonical, decode_glyphs, encode_glyphs
+from .glyphs import DEFAULT_TABLE, decode_canonical, decode_glyphs
 
 NOTATIONS = ("decimal", "canonical", "glyph")
 
-_PARSE_ORIGIN = {"decimal": "exact", "canonical": "glyphs", "glyph": "glyphs"}
+# the module a diagnostic names, unless the error carries its own ``origin``
+# (the parse errors do)
 _COMMAND_ORIGIN = {
     "convert": "exact",
     "arith": "exact",
@@ -53,33 +54,24 @@ _COMMAND_ORIGIN = {
 }
 
 
-class _Failure(Exception):
-    def __init__(self, origin: str, message: str):
-        super().__init__(message)
-        self.origin = origin
-        self.message = message
-
-
 def _parse_value(text: str, notation: str) -> Rational:
-    try:
-        if notation == "decimal":
-            return parse_decimal(text)
-        if notation == "canonical":
-            return from_sexagesimal(decode_canonical(text))
-        return from_sexagesimal(decode_glyphs(text))
-    except SexagesimalError as exc:
-        raise _Failure(_PARSE_ORIGIN[notation], str(exc)) from exc
+    if notation == "decimal":
+        return parse_decimal(text)
+    if notation == "canonical":
+        return from_sexagesimal(decode_canonical(text))
+    return from_sexagesimal(decode_glyphs(text))
 
 
 def _render_value(x: Rational, notation: str, precision: int, mode: str) -> str:
     if notation == "decimal":
         return str(to_decimal(x, max_frac=precision, detect_repetend=True))
     number, info = to_sexagesimal(x, precision, mode, detect_repetend=True)
-    if info.complete and info.period:
-        style = {"symbols": DEFAULT_TABLE.forward} if notation == "glyph" else {}
-        return _render(info.sign, info.int_digits, info.frac_digits, info.period, **style)
-    text = encode_glyphs(number) if notation == "glyph" else number.canonical_text()
-    return text if info.terminates_within(precision) else text + "..."
+    # a found period is shown whole, in parentheses; else the rounded number
+    shown = info if info.period else number
+    style = {"symbols": DEFAULT_TABLE.forward} if notation == "glyph" else {}
+    return _render(
+        shown.sign, shown.int_digits, shown.frac_digits, info.period, info.terminates_within(precision), **style
+    )
 
 
 def _precision(text: str) -> int:
@@ -290,12 +282,8 @@ def main(argv: list[str] | None = None) -> int:
             stream.reconfigure(encoding="utf-8")
     try:
         output, code = _COMMANDS[args.command](args)
-    except _Failure as failure:
-        print(f"sexagesimal {args.command}: error ({failure.origin}): {failure.message}",
-              file=sys.stderr)
-        return 1
     except SexagesimalError as exc:
-        origin = _COMMAND_ORIGIN[args.command]
+        origin = getattr(exc, "origin", _COMMAND_ORIGIN[args.command])
         print(f"sexagesimal {args.command}: error ({origin}): {exc}", file=sys.stderr)
         return 1
     sys.stdout.write(output)

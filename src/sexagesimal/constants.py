@@ -143,12 +143,6 @@ def _parse_scale(notation: str, table: GlyphTable) -> int:
     return sign * _int_of_digits(digits)
 
 
-def _strip_trailing_zeros(digits: list[int]) -> list[int]:
-    while len(digits) > 1 and digits[-1] == 0:
-        digits.pop()
-    return digits
-
-
 def encode_scientific(
     x: Fraction,
     precision: int,
@@ -166,7 +160,8 @@ def encode_scientific(
     if x <= 0:
         raise DomainError("scientific encoding requires a positive value")
     f = normalize_float(x, precision, mode)
-    digits = _strip_trailing_zeros(list(f.mantissa))
+    # the leading sexagesit is nonzero, so some digit remains
+    digits = bytes(f.mantissa).rstrip(b"\0")
     exponent = f.exponent - len(digits)
     glyphs = _render(1, digits, symbols=table.forward)
     if exponent == 0:

@@ -54,7 +54,7 @@ _ASCII_TO_DIGIT = bytes.maketrans(_ASCII_DIGITS.encode(), bytes(range(10)))
 
 
 class DecimalParseError(ParseError):
-    pass
+    origin = "exact"  # the module a diagnostic names
 
 
 def parse_decimal(text: str) -> Fraction:
@@ -498,13 +498,6 @@ def _split_denominator(den: int, base: int) -> tuple[int, int]:
     return k, den
 
 
-def _terminating_frac_len(den: int, base: int) -> int | None:
-    """Exact count of fractional digits of 1/den in ``base``, or None when
-    the expansion does not terminate (den carries a prime not in base)."""
-    k, rest = _split_denominator(den, base)
-    return k if rest == 1 else None
-
-
 def _emit_digits(walk: bytearray, r: int, den: int, base: int, n: int) -> int:
     """Append the next ``n`` digits of r/den (0 <= r < den) in ``base`` to
     ``walk`` and return the remainder after them.
@@ -687,13 +680,30 @@ def to_sexagesimal(
     if info.terminates_within(max_frac):
         # exact at this budget: the expansion's digits are the number's
         return SexNumber.from_digits(info.sign, info.int_digits + info.frac_digits, info.frac_len), info
-    return _round_to(x, max_frac, mode), info
+    # the first max_frac fractional digits: the pre-period, then the period
+    # repeated (sliced before bytes(), as a period may be far longer), and
+    # past a give-up the digits the search did not reach; r is the remainder
+    # after them
+    num, den = abs(x.numerator), x.denominator
+    frac = bytearray(info.frac_digits[:max_frac])
+    if info.period:
+        frac += bytes(info.period[:max_frac]) * -((len(frac) - max_frac) // len(info.period))
+        del frac[max_frac:]
+    r = _emit_digits(frac, num * pow(BASE, len(frac), den) % den, den, BASE, max_frac - len(frac))
+    # a spare leading 0 takes a carry out of the top
+    digits = bytearray(1) + bytes(info.int_digits) + frac
+    d = digits[-1]
+    # 60 is even, so d has the parity of the whole quotient
+    if _round_quotient(d * den + r, den, mode) > d:
+        kept = digits.rstrip(bytes((BASE - 1,)))  # the carry turns trailing 59s into 0s
+        digits = kept[:-1] + bytes((kept[-1] + 1,)) + bytes(len(digits) - len(kept))
+    return SexNumber.from_digits(info.sign, digits, max_frac), info
 
 
-def _round_to(x: Fraction, max_frac: int, mode: str) -> SexNumber:
-    """``x`` rounded to ``max_frac`` fractional sexagesits per ``mode``: the
-    number `to_sexagesimal` returns, for callers that need no `Expansion`."""
-    scaled = _round_quotient(abs(x.numerator) * BASE**max_frac, x.denominator, mode)
+def _round_to(x: Fraction, max_frac: int) -> SexNumber:
+    """``x`` truncated to ``max_frac`` fractional sexagesits, for callers
+    that build no `Expansion`."""
+    scaled = abs(x.numerator) * BASE**max_frac // x.denominator
     sign = 0 if scaled == 0 else (1 if x.numerator > 0 else -1)
     return SexNumber.from_digits(sign, _digits_of_int(scaled), max_frac)
 

@@ -13,17 +13,9 @@ from types import MappingProxyType
 from .errors import QUOTE_CHARS, ParseError, quote
 from .exact import BASE, SexNumber, _Record, _render, _setattr
 
-# values 36..59; index 14 (= value 50) is LATIN SMALL LETTER O, as published
-_GREEK = "αβγδεζηθικλμ" \
-         "νξoπρστυφχψω"
-
-_DEFAULT_FORWARD = {}
-for _v in range(10):
-    _DEFAULT_FORWARD[_v] = str(_v)
-for _v in range(10, 36):
-    _DEFAULT_FORWARD[_v] = chr(ord("A") + _v - 10)
-for _i, _g in enumerate(_GREEK):
-    _DEFAULT_FORWARD[36 + _i] = _g
+# the glyph of each value 0..59 at its index; value 50 is LATIN SMALL LETTER
+# O, as published, among the Greek letters
+_DEFAULT_FORWARD = dict(enumerate("0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZαβγδεζηθικλμνξoπρστυφχψω"))
 
 # variant glyph -> value: phi symbol, lunate epsilon, theta symbol, omicron
 _DEFAULT_ALIASES = {
@@ -35,7 +27,7 @@ _DEFAULT_ALIASES = {
 
 
 class GlyphError(ParseError):
-    pass
+    origin = "glyphs"  # the module a diagnostic names
 
 
 class UnknownGlyphError(GlyphError):

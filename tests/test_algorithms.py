@@ -70,6 +70,20 @@ class TestHeronSqrt:
         with pytest.raises(DomainError):
             heron_sqrt(2, precision=0)
 
+    def test_operand_bound_is_checked_before_each_step(self, monkeypatch):
+        # the last step of sqrt(2) from 1000 starts from an iterate of `last`
+        # bits, the largest it steps from
+        result = heron_sqrt(2, start=1000, precision=8)
+        cur = Fraction(1000)
+        for _ in range(result.iterations - 1):
+            cur = (cur + 2 / cur) / 2
+        last = cur.numerator.bit_length() + cur.denominator.bit_length()
+        monkeypatch.setattr(algorithms, "HERON_OPERAND_BITS", last)
+        assert heron_sqrt(2, start=1000, precision=8) == result
+        monkeypatch.setattr(algorithms, "HERON_OPERAND_BITS", last - 1)
+        with pytest.raises(DomainError, match=f"passed {last - 1} bits"):
+            heron_sqrt(2, start=1000, precision=8)
+
     @settings(max_examples=30)
     @given(
         st.fractions(min_value=Fraction(1, 1000), max_value=10**6, max_denominator=1000),

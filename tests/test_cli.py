@@ -183,6 +183,16 @@ def test_sqrt_of_small_value_finishes():
     assert proc.stderr == ""
 
 
+def test_sqrt_from_a_far_start_finishes():
+    # the exact iterates double in size each step; unbounded, this ran for
+    # minutes
+    proc = run_python(["-m", "sexagesimal", "sqrt", "--p", "64", "--start", "1000000", "2"], timeout=30)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith("sexagesimal sqrt: error (algorithms): ")
+    assert "HERON_OPERAND_BITS" in proc.stderr
+
+
 class TestRepetendOutput:
     @pytest.mark.parametrize(
         "argv, expected",

@@ -8,11 +8,12 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import nonzero_rationals, rationals, run_python, sex_numbers
 from sexagesimal import exact
 from sexagesimal.exact import (
+    ROUNDING_MODES,
     _DC_BITS,
     _DEC_BLOCK,
     _digits_of_int,
@@ -20,7 +21,6 @@ from sexagesimal.exact import (
     _int_of_digits,
     _order,
     _split_denominator,
-    _terminating_frac_len,
 )
 from sexagesimal import (
     HALF_EVEN,
@@ -30,6 +30,7 @@ from sexagesimal import (
     ParseError,
     SexNumber,
     arith,
+    decode_canonical,
     from_sexagesimal,
     int_sqrt,
     is_regular,
@@ -205,6 +206,34 @@ def _frac_stream(num, den, base, count):
     return digits
 
 
+@st.composite
+def _periodic_cases(draw):
+    # max_frac one either side of pre-period + k periods
+    x = Fraction(draw(st.integers(-10**6, 10**6)), draw(st.sampled_from([1, 2**3, 3 * 5**2, 60**2])))
+    x /= draw(st.integers(1, 4_000))
+    pre, period = _longdiv(x.numerator, x.denominator, limit=10**5)
+    k = draw(st.integers(0, 3)) if period else 0
+    return x, max(0, len(pre) + k * len(period) + draw(st.integers(-1, 1)))
+
+
+@st.composite
+def _carry_cases(draw):
+    # runs of 59 on both sides of the point, then a tail that rounds up
+    # through them or not
+    run = draw(st.integers(0, 4))
+    tail = draw(st.fractions(0, 1, max_denominator=200).filter(lambda t: t < 1))
+    x = 60 ** draw(st.integers(0, 3)) - Fraction(1 - tail, 60**run)
+    return draw(st.sampled_from([-1, 1])) * x, max(0, run + draw(st.integers(-1, 1)))
+
+
+@st.composite
+def _tie_cases(draw):
+    # halfway between two numbers of max_frac places, with either parity
+    max_frac = draw(st.integers(0, 4))
+    x = Fraction(2 * draw(st.integers(0, 60**3)) + 1, 2 * 60**max_frac)
+    return draw(st.sampled_from([-1, 1])) * x, max_frac
+
+
 class TestToSexagesimal:
     def test_tablet_ratio(self):
         number, info = to_sexagesimal(Fraction(25, 16), 4)
@@ -264,6 +293,86 @@ class TestRounding:
     def test_unknown_mode(self):
         with pytest.raises(DomainError):
             to_sexagesimal(Fraction(1), 1, "nearest")
+
+    @pytest.mark.parametrize(
+        "x, max_frac, mode, expected",
+        [
+            # a carry out of an all-59 integer part
+            ("59;59:59:45", 2, HALF_UP, "1:0"),
+            ("59;59:59:45", 2, HALF_EVEN, "1:0"),
+            ("59;59:59:45", 2, TRUNC, "59;59:59"),
+            ("-59;59:59:30", 2, HALF_UP, "-1:0"),
+            # half-even ties: up from an odd last digit, kept on an even one
+            ("2;59:30", 1, HALF_EVEN, "3"),
+            ("2;58:30", 1, HALF_EVEN, "2;58"),
+            ("1;0:30", 1, HALF_EVEN, "1"),
+        ],
+    )
+    def test_carries_and_ties(self, x, max_frac, mode, expected):
+        for detect in (False, True):
+            number, _ = to_sexagesimal(from_sexagesimal(decode_canonical(x)), max_frac, mode, detect)
+            assert number.canonical_text() == expected
+
+    @settings(max_examples=300)
+    @given(st.one_of(_periodic_cases(), _carry_cases(), _tie_cases()), st.sampled_from(ROUNDING_MODES),
+           st.booleans(), st.sampled_from([2, 5, 10**6]))
+    def test_against_integer_rounding(self, case, mode, detect, bound):
+        # the number is x rounded at max_frac places, computed here by one
+        # integer divmod and each mode's rule
+        x, max_frac = case
+        old = exact.PERIOD_STATE_BOUND
+        exact.PERIOD_STATE_BOUND = bound
+        try:
+            number, _ = to_sexagesimal(x, max_frac, mode, detect)
+        finally:
+            exact.PERIOD_STATE_BOUND = old
+        q, r = divmod(abs(x.numerator) * 60**max_frac, x.denominator)
+        if mode == HALF_UP:
+            q += 2 * r >= x.denominator
+        elif mode == HALF_EVEN:
+            q += 2 * r > x.denominator or (2 * r == x.denominator and q % 2 == 1)
+        assert from_sexagesimal(number) == (1 if x > 0 else -1) * Fraction(q, 60**max_frac)
+
+    @pytest.mark.parametrize(
+        "x, max_frac, detect, bound",
+        [
+            (Fraction(-1, 7), 7, True, 10**6),  # periodic
+            (Fraction(1, 7), 7, True, 2),  # a give-up before max_frac
+            (Fraction(1, 7), 7, False, 10**6),  # no detection
+            (Fraction(7, 3600), 1, True, 10**6),  # terminates beyond the budget
+        ],
+    )
+    def test_rounds_from_its_expansion(self, x, max_frac, detect, bound, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("converted a second time")
+
+        monkeypatch.setattr(exact, "_round_to", refuse)
+        monkeypatch.setattr(exact, "PERIOD_STATE_BOUND", bound)
+        for mode in ROUNDING_MODES:
+            number, _ = to_sexagesimal(x, max_frac, mode, detect)
+            assert number.frac_count <= max_frac and abs(from_sexagesimal(number) - x) < Fraction(1, 60**max_frac)
+
+    @pytest.mark.parametrize("detect", [False, True])
+    def test_million_places_within_deadline(self, detect):
+        # 1/999983 has a period of 999982 sexagesits, so places 999983 to
+        # 10**6 repeat places 1 to 18; converting floor(60**(10**6) / 999983)
+        # to digits a second time took about 33 s
+        code = (
+            "from fractions import Fraction\n"
+            "from sexagesimal import to_sexagesimal\n"
+            "for mode in ('trunc', 'half-up', 'half-even'):\n"
+            f"    number, _ = to_sexagesimal(Fraction(1, 999983), 10**6, mode, detect_repetend={detect})\n"
+            "    print(number.frac_count, *number.digits[:8], *number.digits[-8:])\n"
+        )
+        proc = run_python(["-c", code], timeout=15)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 3
+        q, r = divmod(60**18, 999983)
+        head = [0] + _frac_stream(1, 999983, 60, 7)
+        for line, up in zip(lines, (False, 2 * r >= 999983, 2 * r > 999983)):
+            tail = _frac_stream(q + up, 60**18, 60, 18)[-8:]
+            assert [int(d) for d in line.split()] == [10**6, *head, *tail]
 
 
 class TestFromSexagesimal:
@@ -415,12 +524,12 @@ class TestDigitKernel:
         assert info.int_digits + info.frac_digits == x.digits
 
 
-def _gcd_frac_len(den, base):
+def _gcd_split(den, base):
     k = 0
     while (g := math.gcd(den, base)) > 1:
         den //= g
         k += 1
-    return k if den == 1 else None
+    return k, den
 
 
 class TestTerminatingLength:
@@ -435,7 +544,7 @@ class TestTerminatingLength:
     def test_large_denominators_match_gcd_loop(self, base, exps, cofactor):
         den = 2 ** exps[0] * 3 ** exps[1] * 5 ** exps[2] * cofactor
         assert den.bit_length() > _DC_BITS
-        assert _terminating_frac_len(den, base) == _gcd_frac_len(den, base)
+        assert _split_denominator(den, base) == _gcd_split(den, base)
 
     @pytest.mark.parametrize("base", [10, 60])
     def test_long_preperiod_against_oracle(self, base):
