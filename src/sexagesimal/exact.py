@@ -34,10 +34,19 @@ ROUNDING_MODES = (TRUNC, HALF_UP, HALF_EVEN)
 PERIOD_STATE_BOUND = 10**6
 
 # Operands of more than this many bits are converted between int and digits
-# by divide and conquer on base**(leaf * 2**k), and their denominators split
-# into base primes by valuations; smaller ones keep the plain per-digit and
-# gcd loops, which are faster there.
+# by divide and conquer on base**(leaf * 2**k), their denominators split into
+# base primes by valuations, and digit values over 60**f reduced by
+# valuations; smaller ones keep the plain per-digit and gcd loops, which are
+# faster there.
 _DC_BITS = 512
+
+# `_divmod` leaves divisors and quotients of at most this many bits to the
+# builtin divmod, which is faster there (the cutoff of CPython's `_pylong`)
+_DIV_BITS = 4000
+
+# the largest powers of 3 and 5 below 2**30, one digit of a CPython int: a
+# remainder by either is one linear pass over the dividend
+_WORD_POW3, _WORD_POW5 = 3**18, 5**12
 
 # the decimal digits; indexed by digit value, also the digit -> text table of
 # decimal text
@@ -158,10 +167,76 @@ def _round_quotient(num: int, den: int, mode: str) -> int:
     return q + (1 if (2 * r > den or (2 * r == den and q % 2 == 1)) else 0)
 
 
+def _divmod(a: int, b: int) -> tuple[int, int]:
+    """``divmod(a, b)`` for a >= 0 and b > 0, by Burnikel and Ziegler's
+    recursive division ("Fast Recursive Division", MPI-I-98-1-022, 1998),
+    the scheme of CPython 3.12's `_pylong`: about two n-bit products, not
+    n**2 steps, per n-bit quotient chunk.
+
+    The quotient comes in chunks of n = bits(b) bits.  A dividend of c
+    chunks is split at whole chunks, the high part first, and its remainder
+    leads the low part, so each step is `_div2n1n` of one chunk.  Divisors
+    and quotients of at most `_DIV_BITS` bits take the builtin divmod.
+    """
+    n = b.bit_length()
+    if n <= _DIV_BITS or a.bit_length() - n <= _DIV_BITS:
+        return divmod(a, b)
+
+    def chunks(a: int, c: int) -> tuple[int, int]:
+        # a < b << c*n
+        if c == 1:
+            return _div2n1n(a, b, n)
+        shift = c // 2 * n
+        q, r = chunks(a >> shift, c - c // 2)
+        low_q, r = chunks(r << shift | a & ((1 << shift) - 1), c // 2)
+        return q << shift | low_q, r
+
+    # the least c with a < 2**(n - 1 + c*n) <= b << c*n
+    return chunks(a, -(-(a.bit_length() - n + 1) // n))
+
+
+def _div2n1n(a: int, b: int, n: int) -> tuple[int, int]:
+    """``divmod(a, b)`` for b of exactly n bits and 0 <= a < b << n: two
+    `_div3n2n` steps of n/2 quotient bits each, after shifting a and b up
+    one bit when n is odd (the remainder is shifted back)."""
+    if a.bit_length() - n <= _DIV_BITS:
+        return divmod(a, b)
+    pad = n & 1
+    if pad:
+        a <<= 1
+        b <<= 1
+        n += 1
+    half = n >> 1
+    mask = (1 << half) - 1
+    b1, b2 = b >> half, b & mask
+    q1, r = _div3n2n(a >> n, a >> half & mask, b, b1, b2, half)
+    q2, r = _div3n2n(r, a & mask, b, b1, b2, half)
+    return q1 << half | q2, r >> pad
+
+
+def _div3n2n(a12: int, a3: int, b: int, b1: int, b2: int, n: int) -> tuple[int, int]:
+    """``divmod(a12 << n | a3, b)`` for b = b1 << n | b2 of 2n bits, a3 < 2**n
+    and a12 < b << n: the quotient estimated from a12 // b1, which is at
+    most 2 too high, then corrected down."""
+    if a12 >> n == b1:
+        q, r = (1 << n) - 1, a12 - (b1 << n) + b1
+    else:
+        q, r = _div2n1n(a12, b1, n)
+    r = (r << n | a3) - q * b2
+    while r < 0:
+        q -= 1
+        r += b
+    return q, r
+
+
 def _digits_of_int(n: int, base: int = BASE, width: int = 1) -> list[int]:
     """Digits of ``n >= 0`` in ``base``, most significant first, left-padded
     with zeros to ``width`` digits when shorter (zero has no digits of its
-    own, so it comes back as ``width`` zeros)."""
+    own, so it comes back as ``width`` zeros).
+
+    Past `_DC_BITS` bits, n is split in halves on base**(leaf * 2**k) by
+    `_divmod`, whose recursive division keeps the split subquadratic on
+    every CPython (the builtin divmod is quadratic through 3.11)."""
     if n.bit_length() <= _DC_BITS:
         out = []
         while n:
@@ -182,7 +257,7 @@ def _digits_of_int(n: int, base: int = BASE, width: int = 1) -> list[int]:
         if k == 0 or (pad and not n):
             out.extend(_digits_of_int(n, base, leaf << k if pad else 0))
             return
-        hi, lo = divmod(n, powers[k - 1])
+        hi, lo = _divmod(n, powers[k - 1])
         if hi or pad:
             split(hi, k - 1, pad)
             pad = True
@@ -383,8 +458,33 @@ class SexNumber(_Record):
 
 def from_sexagesimal(x: SexNumber) -> Fraction:
     """Exact rational value of a positional numeral (inverse of
-    `to_sexagesimal` on terminating inputs)."""
-    return Fraction(x.sign * _int_of_digits(x.digits), BASE**x.frac_count)
+    `to_sexagesimal` on terminating inputs).
+
+    The value is N / 60**f for the digits' integer N and f = frac_count.
+    Up to `_DC_BITS` bits of N, `Fraction` reduces it by gcd.  Past that,
+    where the gcd is quadratic, the common factor 2**a * 3**b * 5**c comes
+    from valuations capped at 2f, f and f: a from N's lowest set bit, and
+    b and c from N mod 3**18 and N mod 5**12, one-word remainders.  When
+    either remainder is 0 the gcd is used after all.
+    """
+    f = x.frac_count
+    n = _int_of_digits(x.digits)
+    if n.bit_length() > _DC_BITS and (r3 := n % _WORD_POW3) and (r5 := n % _WORD_POW5):
+        a = min((n & -n).bit_length() - 1, 2 * f)
+        b = min(_valuation(r3, 3)[0], f)
+        c = min(_valuation(r5, 5)[0], f)
+        return _coprime_fraction(x.sign * ((n >> a) // (3**b * 5**c)), 3 ** (f - b) * 5 ** (f - c) << 2 * f - a)
+    return Fraction(x.sign * n, BASE**f)
+
+
+def _coprime_fraction(num: int, den: int) -> Fraction:
+    """The `Fraction` num/den for coprime num and den > 0, built without the
+    gcd its constructor runs, as CPython 3.12's private
+    ``Fraction._from_coprime_ints`` does."""
+    x = object.__new__(Fraction)
+    x._numerator = num
+    x._denominator = den
+    return x
 
 
 class Expansion(_Record):
@@ -476,7 +576,8 @@ def _split_denominator(den: int, base: int) -> tuple[int, int]:
     Dividing by gcd(den, base) once per step lowers every prime exponent by
     at most one base's worth, so the step count is k; past `_DC_BITS` the
     exponents come from valuations instead, k = max ceil(v_p / e_p) over
-    the primes p**e_p of base.
+    the primes p**e_p of base.  The power of 2 is den's lowest set bit, one
+    shift; other primes take `_valuation`'s O(log v) big divisions.
     """
     if den.bit_length() <= _DC_BITS:
         k = 0
@@ -492,7 +593,11 @@ def _split_denominator(den: int, base: int) -> tuple[int, int]:
             rest //= p
             e += 1
         if e:
-            v, den = _valuation(den, p)
+            if p == 2:  # the lowest set bit
+                v = (den & -den).bit_length() - 1
+                den >>= v
+            else:
+                v, den = _valuation(den, p)
             k = max(k, -(-v // e))
         p += 1
     return k, den

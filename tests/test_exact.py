@@ -6,6 +6,7 @@ import sys
 import time
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +17,9 @@ from sexagesimal.exact import (
     ROUNDING_MODES,
     _DC_BITS,
     _DEC_BLOCK,
+    _DIV_BITS,
     _digits_of_int,
+    _divmod,
     _emit_digits,
     _int_of_digits,
     _order,
@@ -393,6 +396,49 @@ class TestFromSexagesimal:
         assert back == x
         assert info.terminates_within(x.frac_count)
 
+    # past _DC_BITS bits of the digits' integer N, N / 60**f is reduced by
+    # valuations of 2, 3 and 5, not by gcd; the result must be the very
+    # Fraction the constructor gives
+    @staticmethod
+    def _assert_exact(x):
+        value = from_sexagesimal(x)
+        expected = Fraction(x.sign * _int_of_digits(x.digits), 60**x.frac_count)
+        assert type(value) is Fraction
+        assert (value.numerator, value.denominator) == (expected.numerator, expected.denominator)
+        assert hash(value) == hash(expected)
+        assert value + Fraction(1, 7) == expected + Fraction(1, 7)
+        assert value * Fraction(6, 5) - expected == expected / 5
+        assert str(value) == str(expected)
+
+    @pytest.mark.parametrize("family", [45, 15, 2, 30])
+    @pytest.mark.parametrize("sign", [-1, 1])
+    def test_power_families(self, family, sign):
+        # high powers of 3 and 5 take the gcd after all; low ones, and any
+        # power of 2, the valuations, with caps at f = 0 and small f
+        for k in (3, 11, 12, 13, 17, 18, 19, 60, 90, 200, 400, 1500):
+            digits = _digits_of_int(family**k)
+            for f in {0, 1, 2, 11, 12, 13, 17, 18, 19, 40, len(digits) // 2, len(digits)}:
+                self._assert_exact(SexNumber.from_digits(sign, digits, f))
+                # a cofactor coprime to 30 keeps the low valuations
+                self._assert_exact(SexNumber.from_digits(sign, _digits_of_int(family**k * (2**_DC_BITS + 7)), f))
+
+    @given(
+        st.integers(0, 2**64),
+        st.integers(_DC_BITS - 40, _DC_BITS + 200),
+        st.integers(0, 50),
+        st.integers(0, 22),
+        st.integers(0, 15),
+        st.integers(0, 40),
+        st.sampled_from([-1, 1]),
+    )
+    def test_valuations_straddle_the_cutoff(self, seed, bits, twos, threes, fives, frac_count, sign):
+        # N = 2**twos * 3**threes * 5**fives * R with R coprime to 30, on both
+        # sides of _DC_BITS, and f below, at and above each valuation
+        cofactor = random.Random(seed).getrandbits(bits) * 30 + 1
+        n = 2**twos * 3**threes * 5**fives * cofactor
+        digits = _digits_of_int(n)
+        self._assert_exact(SexNumber.from_digits(sign, digits, min(frac_count, len(digits))))
+
 
 class TestToDecimal:
     @pytest.mark.parametrize(
@@ -514,6 +560,37 @@ class TestDigitKernel:
         width = length + rng.randrange(0, 3 * leaf)
         assert _digits_of_int(n, base, width) == _naive_digits(n, base, width)
 
+    @pytest.mark.parametrize("k", [10_000, 30_000, 100_000])
+    def test_large_edges_in_closed_form(self, k):
+        # the split's top divisions take `_divmod`'s recursive path here;
+        # these shapes have digits known without a per-digit loop
+        b = 60
+        cases = [
+            (b**k - 1, [b - 1] * k),
+            (b**k, [1] + [0] * k),
+            (b**k + 1, [1] + [0] * (k - 1) + [1]),
+            (7 * b**k + 3, [7] + [0] * (k - 1) + [3]),
+        ]
+        # a zero middle between random digits
+        rng = random.Random(k)
+        digits = [rng.randrange(1, b)] + [rng.randrange(b) for _ in range(k - 1)]
+        digits[k // 3 : 2 * k // 3] = [0] * (2 * k // 3 - k // 3)
+        cases.append((_int_of_digits(digits), digits))
+        for n, digits in cases:
+            assert _digits_of_int(n) == digits
+            assert _int_of_digits(digits) == n
+        n, digits = cases[-2]
+        assert _digits_of_int(n, b, len(digits) + 5) == [0] * 5 + digits
+
+    def test_split_scales_subquadratically(self):
+        # 3x the digits: quadratic division took about 9x the time, the
+        # recursive one about 4.5x.  A ratio of interleaved best-of-3
+        # timings, not a deadline, as the host's speed drifts
+        rng = random.Random(150)
+        values = [rng.randrange(60 ** (n - 1), 60**n) for n in (50_000, 150_000)]
+        small, large = _best_of(*[lambda v=v: _digits_of_int(v) for v in values], rounds=3)
+        assert large < 6 * small, (small, large)
+
     def test_round_trip_10k_sexagesits(self):
         rng = random.Random(10_000)
         digits = [rng.randrange(1, 60)] + [rng.randrange(60) for _ in range(9_998)] + [rng.randrange(1, 60)]
@@ -522,6 +599,56 @@ class TestDigitKernel:
         assert number == x
         assert info.terminates and info.frac_len == 4_321
         assert info.int_digits + info.frac_digits == x.digits
+
+
+@st.composite
+def _division_cases(draw, min_bits, max_bits):
+    """(a, b) with b of ``min_bits``..``max_bits`` bits, among them b = 2**n
+    and 2**n - 1, and a below b << c*n for c of 1-40 chunks of n = bits(b)
+    bits: random, below b, exact multiples, multiples plus b - 1, just below
+    b << c*n, and ones filling whole chunks (whose bit length leaves no
+    slack in the chunk count).  A divisor of a top bit over a low half of
+    ones makes the quotient estimate from its high half 2 too high."""
+    n = draw(st.integers(min_bits, max_bits))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    top_bit = 1 << n - 1
+    b = draw(st.sampled_from([top_bit, 2 * top_bit - 1, top_bit | (1 << n // 2) - 1, rng.getrandbits(n - 1) | top_bit]))
+    chunks = draw(st.integers(1, 40))
+    top = b << chunks * n
+    kind = draw(st.sampled_from(["random", "below", "exact", "exact-1", "top", "ones"]))
+    if kind == "ones":
+        return (1 << draw(st.integers(1, chunks + 1)) * n) - 1, b
+    if kind == "below":
+        return rng.randrange(b), b
+    if kind in ("exact", "exact-1"):
+        q = rng.randrange(top // b)
+        return b * q + (b - 1 if kind == "exact-1" else 0), b
+    if kind == "top":
+        return max(0, top - 1 - rng.getrandbits(draw(st.integers(0, 2 * n)))), b
+    return rng.randrange(top), b
+
+
+class TestDivmod:
+    @pytest.mark.parametrize("n", [_DIV_BITS - 1, _DIV_BITS, _DIV_BITS + 1, 2 * _DIV_BITS + 1])
+    def test_at_the_cutoff(self, n):
+        rng = random.Random(n)
+        for b in (1 << n - 1, (1 << n) - 1, rng.getrandbits(n) | 1 << n - 1):
+            for a in (0, b - 1, b, b * (1 << 5 * n) - 1, rng.getrandbits(7 * n), b * rng.getrandbits(3 * n)):
+                assert _divmod(a, b) == divmod(a, b)
+
+    @settings(max_examples=40)
+    @given(_division_cases(_DIV_BITS - 1, 3 * _DIV_BITS))
+    def test_matches_builtin(self, case):
+        a, b = case
+        assert _divmod(a, b) == divmod(a, b)
+
+    @given(_division_cases(1, 700))
+    def test_deep_recursion_matches_builtin(self, case):
+        # a small cutoff recurses many levels on small operands, each with
+        # its own pad branch and quotient corrections
+        a, b = case
+        with mock.patch.object(exact, "_DIV_BITS", 8):
+            assert _divmod(a, b) == divmod(a, b)
 
 
 def _gcd_split(den, base):
@@ -545,6 +672,17 @@ class TestTerminatingLength:
         den = 2 ** exps[0] * 3 ** exps[1] * 5 ** exps[2] * cofactor
         assert den.bit_length() > _DC_BITS
         assert _split_denominator(den, base) == _gcd_split(den, base)
+
+    @pytest.mark.parametrize("base", [10, 60])
+    @pytest.mark.parametrize("j", [1, 4, 9, 10, 12])
+    def test_power_of_two_around_the_squarings(self, base, j):
+        # 2-exponents at 2**j - 1, 2**j and 2**j + 1, where a valuation that
+        # squares 2 up to 2**(2**j) changes its number of steps
+        for twos in (2**j - 1, 2**j, 2**j + 1):
+            for cofactor in (3**7 * 7**190, 5**3 * 2**521 + 5**3 * 3):
+                den = 2**twos * cofactor
+                assert den.bit_length() > _DC_BITS
+                assert _split_denominator(den, base) == _gcd_split(den, base)
 
     @pytest.mark.parametrize("base", [10, 60])
     def test_long_preperiod_against_oracle(self, base):
@@ -709,7 +847,7 @@ class TestEmitLanes:
         # interpreter step made its base-60 expansion cost 5-6.5x the base-10
         # one (300 digits a step); side-by-side lanes cost about 2x.
         x = Fraction(1, 999983)
-        sixty, ten = _best_of_5(lambda: to_sexagesimal(x, 8, detect_repetend=True), lambda: to_decimal(x))
+        sixty, ten = _best_of(lambda: to_sexagesimal(x, 8, detect_repetend=True), lambda: to_decimal(x))
         assert sixty <= 3.5 * ten
         info = to_sexagesimal(x, 8, detect_repetend=True)[1]
         assert len(info.period) == 999982
@@ -811,10 +949,10 @@ def _naive_text(info):
     return ("-" if info.sign < 0 else "") + text
 
 
-def _best_of_5(*calls):
+def _best_of(*calls, rounds=5):
     # interleaved, so that a slow spell of the host weighs on every call
     best = [float("inf")] * len(calls)
-    for _ in range(5):
+    for _ in range(rounds):
         for i, call in enumerate(calls):
             start = time.perf_counter()
             call()
@@ -846,6 +984,6 @@ class TestRendering:
             expand = lambda: to_sexagesimal(x, 8, detect_repetend=True)[1]  # noqa: E731
         info = expand()
         assert len(info.period) == 999982
-        render, expansion = _best_of_5(lambda: str(info), expand)
+        render, expansion = _best_of(lambda: str(info), expand)
         assert render <= expansion
         assert str(info) == _naive_text(info)
