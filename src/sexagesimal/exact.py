@@ -56,10 +56,21 @@ _ASCII_DIGITS = "0123456789"
 # decimal numeral, with the tens digit f (dropped) below 10
 _BCD = bytes(d + 0xF0 if d < 10 else d // 10 * 16 + d % 10 for d in range(BASE)).ljust(256, b"\0")
 
+# the inverse of `_BCD` on zero-padded numerals: the byte whose hex digits
+# are "00" to "59" to its value; every other byte to 0xFF, out of range
+_UNBCD = bytes((b >> 4) * 10 + (b & 15) if b >> 4 < 6 and b & 15 < 10 else 255 for b in range(256))
+
 # `_emit_digits` blocks: decimal digits per "%d" block (far below CPython's
 # int-string limit), and ASCII digits to digit values
 _DEC_BLOCK = 300
 _ASCII_TO_DIGIT = bytes.maketrans(_ASCII_DIGITS.encode(), bytes(range(10)))
+
+# `_int_of_digits` folds more digits than this as packed byte fields, in
+# leaves of `_FOLD_LEAF` digits; fewer take Horner's rule, which is faster
+# there.  `_digits_of_int` spells its leaves of `_FOLD_LEAF` digits the same
+# way; six halvings of a field reach one digit, hence 64.
+_FOLD_DIGITS = 128
+_FOLD_LEAF = 64
 
 
 class DecimalParseError(ParseError):
@@ -230,13 +241,21 @@ def _div3n2n(a12: int, a3: int, b: int, b1: int, b2: int, n: int) -> tuple[int, 
 
 
 def _digits_of_int(n: int, base: int = BASE, width: int = 1) -> list[int]:
-    """Digits of ``n >= 0`` in ``base``, most significant first, left-padded
-    with zeros to ``width`` digits when shorter (zero has no digits of its
-    own, so it comes back as ``width`` zeros).
+    """Digits of ``n >= 0`` in ``base`` <= 256, most significant first,
+    left-padded with zeros to ``width`` digits when shorter (zero has no
+    digits of its own, so it comes back as ``width`` zeros).
 
-    Past `_DC_BITS` bits, n is split in halves on base**(leaf * 2**k) by
-    `_divmod`, whose recursive division keeps the split subquadratic on
-    every CPython (the builtin divmod is quadratic through 3.11)."""
+    Up to `_DC_BITS` bits, one divmod per digit.  Past that, n is split in
+    halves on base**(`_FOLD_LEAF` * 2**k) by `_divmod`, whose recursive
+    division keeps the split subquadratic on every CPython (the builtin
+    divmod is quadratic through 3.11).  The power tower stops at the first
+    power whose square is sure to exceed n, by bit lengths, and the split
+    starts there.  The leaves, each below base**64, become digits together
+    in six steps over packed fields of one integer, the inverse of
+    `_int_of_digits`'s fold: each step splits every field's x < P**2, for P
+    = base**32 down to base**1, into x // P and x % P, the quotient from a
+    fixed reciprocal of P (Granlund & Montgomery, PLDI 1994), in two fields
+    of half the width."""
     if n.bit_length() <= _DC_BITS:
         out = []
         while n:
@@ -245,51 +264,96 @@ def _digits_of_int(n: int, base: int = BASE, width: int = 1) -> list[int]:
         out.extend([0] * (width - len(out)))
         out.reverse()
         return out
-    leaf = _DC_BITS // base.bit_length()  # so base**leaf < 2**_DC_BITS
-    powers = [base**leaf]  # powers[k] = base**(leaf * 2**k)
-    while powers[-1] <= n:
+    powers = [base**_FOLD_LEAF]  # powers[k] = base**(_FOLD_LEAF * 2**k)
+    # a square has at least 2b - 1 bits for a power of b bits
+    while 2 * powers[-1].bit_length() - 1 <= n.bit_length():
         powers.append(powers[-1] * powers[-1])
-    out = []
+    leaves = []  # least significant first
 
     def split(n: int, k: int, pad: bool):
-        # the digits of n < powers[k]: all leaf * 2**k of them when pad, else
-        # without leading zeros
-        if k == 0 or (pad and not n):
-            out.extend(_digits_of_int(n, base, leaf << k if pad else 0))
-            return
-        hi, lo = _divmod(n, powers[k - 1])
-        if hi or pad:
-            split(hi, k - 1, pad)
-            pad = True
-        split(lo, k - 1, pad)
+        # the leaves of n < powers[k]: all 2**k of them when pad, else
+        # without leading zero leaves
+        if pad and not n:
+            leaves.extend([0] * (1 << k))
+        elif k == 0:
+            leaves.append(n)
+        else:
+            hi, lo = _divmod(n, powers[k - 1])
+            split(lo, k - 1, True)
+            if hi or pad:
+                split(hi, k - 1, pad)
 
-    split(n, len(powers) - 1, False)
-    if len(out) < width:
-        out[:0] = [0] * (width - len(out))
-    return out
+    # n < powers[-1]**2, the power of level len(powers)
+    split(n, len(powers), False)
+    # A field of w bytes holds x < P**2 for P = base**m, m = 32 * w // size,
+    # and 8w >= 4 * bits(P) + 1 for every m when size >= 16 * bits(base) + 4.
+    # With s = 3 * bits(P) and inv = ceil(2**s / P), x * inv >> s is x // P
+    # exactly, and x * inv < 2**(4 * bits(P) + 1) stays inside the field, its
+    # bits shifted below the next field's quotient.
+    size = -(-(16 * base.bit_length() + 4) // _FOLD_LEAF) * _FOLD_LEAF  # bytes per leaf
+    count = len(leaves)
+    x = int.from_bytes(b"".join(v.to_bytes(size, "little") for v in leaves), "little")
+    m, w = _FOLD_LEAF // 2, size
+    while m:
+        p = base**m
+        bits = p.bit_length()
+        shift = 3 * bits
+        low_bits = int.from_bytes(((1 << bits) - 1).to_bytes(w, "little") * count, "little")
+        q = x * -(-(1 << shift) // p) >> shift & low_bits
+        w //= 2
+        x = x - q * p | q << 8 * w  # the remainder in the low half, the quotient in the high
+        count *= 2
+        m //= 2
+    digits = x.to_bytes(count * w, "little")[::w][::-1]  # a digit in the low byte of each field
+    return list(digits.lstrip(b"\0").rjust(width, b"\0"))
 
 
 def _int_of_digits(digits, base: int = BASE) -> int:
     """Value of a digit sequence, most significant first (the inverse of
-    `_digits_of_int`): Horner's rule on leaves of digits, then pairwise
-    products with base**(leaf * 2**k)."""
-    leaf = _DC_BITS // base.bit_length()
-    values = []
-    start = 0
-    for stop in range(len(digits) % leaf, len(digits) + 1, leaf):
-        value = 0
-        for d in digits[start:stop]:
-            value = value * base + d
-        values.append(value)
-        start = stop
-    if len(values) == 1:
-        return values[0]
+    `_digits_of_int`), for ``base`` <= 256: the value of each leaf of
+    digits, then pairwise products with base**(leaf * 2**k).
+
+    Up to `_FOLD_DIGITS` digits, leaves of `_DC_BITS` bits take Horner's
+    rule.  Longer sequences are folded as packed fields of one integer
+    (Lamport, "Multiple byte processing with full-word instructions", CACM
+    1975): the digits are its big-endian bytes, and each of six steps of
+    mask, shift, multiply and add turns every pair of w-byte fields into one
+    2w-byte field, from 1 up to 64 bytes; ``int.from_bytes`` then reads the
+    64-byte fields, each the value of `_FOLD_LEAF` digits."""
+    if len(digits) > _FOLD_DIGITS:
+        leaf = _FOLD_LEAF
+        raw = bytes(digits)
+        raw = bytes(-len(raw) % leaf) + raw  # leading zeros fill the top leaf
+        size = len(raw)
+        x = int.from_bytes(raw, "big")
+        power, w = base, 1
+        while w < leaf:
+            # the low w bytes of every 2w-byte field
+            mask = int.from_bytes((bytes(w) + b"\xff" * w) * (size // (2 * w)), "big")
+            x = (x >> 8 * w & mask) * power + (x & mask)
+            power *= power
+            w *= 2
+        raw = x.to_bytes(size, "big")
+        values = [int.from_bytes(raw[i : i + leaf], "big") for i in range(0, size, leaf)]
+    else:
+        leaf = _DC_BITS // base.bit_length()
+        values = []
+        start = 0
+        for stop in range(len(digits) % leaf, len(digits) + 1, leaf):
+            value = 0
+            for d in digits[start:stop]:
+                value = value * base + d
+            values.append(value)
+            start = stop
+        if len(values) == 1:
+            return values[0]
     power = base**leaf
-    while len(values) > 1:
+    while True:
         odd = len(values) % 2  # an unpaired value is the most significant
         values[odd:] = [hi * power + lo for hi, lo in zip(values[odd::2], values[odd + 1 :: 2])]
+        if len(values) == 1:  # before a square that would go unused
+            return values[0]
         power *= power
-    return values[0]
 
 
 def _spell(digits, symbols) -> str:
@@ -381,6 +445,9 @@ class SexNumber(_Record):
     frac_count: int
 
     def __init__(self, sign: int, digits: tuple[int, ...], frac_count: int):
+        """``digits`` may be any sequence of ints; as `bytes` or `bytearray`
+        its range is checked by one C-level ``max``, else digit by digit."""
+        raw = digits
         digits = tuple(digits)
         _setattr(self, "sign", sign)
         _setattr(self, "digits", digits)
@@ -389,9 +456,12 @@ class SexNumber(_Record):
             raise ValueError(f"sign must be -1, 0 or 1, not {sign!r}")
         if not digits:
             raise ValueError("digit sequence is empty")
-        for d in digits:
-            if not (isinstance(d, int) and 0 <= d < BASE):
-                raise ValueError(f"sexagesit out of range: {d!r}")
+        if raw is digits or raw.__class__ not in (bytes, bytearray):  # a tuple costs one test
+            for d in digits:
+                if not (isinstance(d, int) and 0 <= d < BASE):
+                    raise ValueError(f"sexagesit out of range: {d!r}")
+        elif max(raw) >= BASE:
+            raise ValueError(f"sexagesit out of range: {next(d for d in raw if d >= BASE)!r}")
         if not 0 <= frac_count <= len(digits):
             raise ValueError("frac_count out of range")
         if sign == 0:
@@ -428,6 +498,22 @@ class SexNumber(_Record):
             keep -= 1
         digits = digits[int_len - keep :]
         return cls(1 if sign > 0 else -1, tuple(digits), frac_count)
+
+    @classmethod
+    def _from_digit_bytes(cls, sign: int, digits: bytes, frac_count: int) -> "SexNumber":
+        """`from_digits` for digits as `bytes` or `bytearray`, a sign that is
+        0 only when every digit is, and 0 <= frac_count <= len(digits): the
+        zeros are trimmed by C-level strips and slices, and the digits reach
+        the constructor as bytes, for its one-pass range check.  Long
+        decoded numerals and `to_sexagesimal` build through this; a caller
+        with few digits in a list is faster with `from_digits`."""
+        kept = digits.rstrip(b"\0")
+        if not kept:
+            return cls(0, (0,), 0)
+        cut = min(len(digits) - len(kept), frac_count)  # trailing fractional zeros
+        int_len = len(digits) - frac_count
+        head = digits[:int_len].lstrip(b"\0") or b"\0"
+        return cls(sign, head + digits[int_len : len(digits) - cut], frac_count - cut)
 
     @classmethod
     def from_int(cls, n: int) -> "SexNumber":
@@ -553,15 +639,19 @@ class Expansion(_Record):
 
 def _valuation(n: int, p: int) -> tuple[int, int]:
     """(v, n // p**v) for the largest v with p**v | n, found by dividing out
-    p**(2**j) from the largest j down: O(log v) big divisions, not v."""
+    p**(2**j) from the largest j down: O(log v) big divisions, not v.  Past
+    2 * `_DIV_BITS` bits of n they take `_divmod`, so they are subquadratic
+    also where the builtin is not; below that `_divmod` would only call the
+    builtin, as either the divisor or the quotient is short."""
+    div = divmod if n.bit_length() <= 2 * _DIV_BITS else _divmod
     powers = []
     q = p
-    while n % q == 0:
+    while div(n, q)[1] == 0:
         powers.append(q)
         q *= q
     v = 0
     for j in reversed(range(len(powers))):
-        quotient, r = divmod(n, powers[j])
+        quotient, r = div(n, powers[j])
         if r == 0:
             n = quotient
             v += 1 << j
@@ -784,7 +874,7 @@ def to_sexagesimal(
     info = _expand(x, BASE, max_frac, detect_repetend)
     if info.terminates_within(max_frac):
         # exact at this budget: the expansion's digits are the number's
-        return SexNumber.from_digits(info.sign, info.int_digits + info.frac_digits, info.frac_len), info
+        return SexNumber._from_digit_bytes(info.sign, bytes(info.int_digits + info.frac_digits), info.frac_len), info
     # the first max_frac fractional digits: the pre-period, then the period
     # repeated (sliced before bytes(), as a period may be far longer), and
     # past a give-up the digits the search did not reach; r is the remainder
@@ -802,7 +892,7 @@ def to_sexagesimal(
     if _round_quotient(d * den + r, den, mode) > d:
         kept = digits.rstrip(bytes((BASE - 1,)))  # the carry turns trailing 59s into 0s
         digits = kept[:-1] + bytes((kept[-1] + 1,)) + bytes(len(digits) - len(kept))
-    return SexNumber.from_digits(info.sign, digits, max_frac), info
+    return SexNumber._from_digit_bytes(info.sign, digits, max_frac), info
 
 
 def _round_to(x: Fraction, max_frac: int) -> SexNumber:

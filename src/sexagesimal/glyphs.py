@@ -8,10 +8,15 @@ omicron) via an alias table; encoding only ever emits canonical glyphs.
 """
 
 import os
+from itertools import repeat
 from types import MappingProxyType
 
 from .errors import QUOTE_CHARS, ParseError, quote
-from .exact import BASE, SexNumber, _Record, _render, _setattr
+from .exact import _UNBCD, BASE, SexNumber, _Record, _render, _setattr
+
+# the decoders read text of more characters than this by C-level string
+# operations, and shorter text with their scanners, which are faster there
+_BULK_CHARS = 16
 
 # the glyph of each value 0..59 at its index; value 50 is LATIN SMALL LETTER
 # O, as published, among the Greek letters
@@ -69,6 +74,14 @@ class GlyphTable(_Record):
         _setattr(self, "forward", MappingProxyType(dict(forward)))
         _setattr(self, "aliases", MappingProxyType(dict(aliases)))
         _setattr(self, "reverse", MappingProxyType(reverse))
+        # derived, not a field: the `str.translate` map of `decode_glyphs`'s
+        # bulk route.  Each glyph and alias goes to its value and a space to
+        # nothing; "-", ";" and every other code point below BASE go to 255,
+        # out of range, as do (unchanged) the unknown ones from BASE to 255
+        bulk_map = dict.fromkeys(range(BASE), 255)
+        bulk_map.update({ord(g): v for g, v in [*reverse.items(), *aliases.items()]})
+        bulk_map.update({ord(" "): None, ord("-"): 255, ord(";"): 255})
+        _setattr(self, "_bulk_map", bulk_map)
 
     def glyph(self, value: int) -> str:
         return self.forward[value]
@@ -124,10 +137,38 @@ def _decode_raw(text: str, table: GlyphTable) -> list[int]:
     return digits
 
 
+def _bulk_glyphs(text: str, table: GlyphTable) -> SexNumber | None:
+    """`decode_glyphs` by C-level string operations, or None when this route
+    refuses the text: one ``partition`` at the radix point and one
+    ``str.translate`` of each part through the table's map, whose result
+    must encode as Latin-1 to digit values below BASE.  It refuses every
+    malformed text, so that the scanner can name the fault."""
+    sign = -1 if text[:1] == "-" else 1
+    int_part, point, frac_part = text[sign < 0 :].partition(";")
+    try:
+        int_digits = int_part.translate(table._bulk_map).encode("latin-1")
+        frac_digits = frac_part.translate(table._bulk_map).encode("latin-1")
+    except UnicodeEncodeError:  # a code point past 255, not a glyph
+        return None
+    digits = int_digits + frac_digits
+    if int_digits and (frac_digits or not point) and max(digits) < BASE:
+        return SexNumber._from_digit_bytes(sign, digits, len(frac_digits))
+    return None
+
+
 def decode_glyphs(text: str, table: GlyphTable = DEFAULT_TABLE) -> SexNumber:
     """Inverse of `encode_glyphs`; spaces between glyphs are ignored and
     aliases resolve to their canonical digit.  Positions in errors are
-    1-based indexes into the original text."""
+    1-based indexes into the original text.
+
+    Text longer than `_BULK_CHARS` is read by `_bulk_glyphs`.  Shorter
+    text, and long text that route refuses (every malformed text among it),
+    is scanned one character at a time, which gives each diagnostic its
+    message and position."""
+    if len(text) > _BULK_CHARS:
+        number = _bulk_glyphs(text, table)
+        if number is not None:
+            return number
     sign = 1
     digits: list[int] = []
     frac_start: int | None = None
@@ -167,8 +208,44 @@ def encode_canonical(x: SexNumber) -> str:
     return x.canonical_text()
 
 
+def _bulk_canonical(text: str) -> SexNumber | None:
+    """`decode_canonical` by C-level string operations, or None when this
+    route refuses the text: ``partition`` at the radix point and ``split``
+    at the colons; when every token is one or two ASCII digits, each is
+    zero-filled to two, and one ``bytes.fromhex`` and one
+    ``bytes.translate`` through `exact._UNBCD` give the digit values, all
+    below BASE or the text is refused.  It refuses every malformed text,
+    and tokens such as ``007``, which the scanner reads."""
+    sign = -1 if text[:1] == "-" else 1
+    int_part, point, frac_part = text[sign < 0 :].partition(";")
+    tokens = int_part.split(":")
+    frac_count = 0
+    if point:
+        frac_tokens = frac_part.split(":")
+        frac_count = len(frac_tokens)
+        tokens += frac_tokens
+    if "" in tokens:
+        return None
+    numerals = "".join(map(str.zfill, tokens, repeat(2)))
+    if len(numerals) != 2 * len(tokens) or not (numerals.isascii() and numerals.isdigit()):
+        return None
+    digits = bytes.fromhex(numerals).translate(_UNBCD)
+    if max(digits) >= BASE:
+        return None
+    return SexNumber._from_digit_bytes(sign, digits, frac_count)
+
+
 def decode_canonical(text: str) -> SexNumber:
-    """Parse the canonical text form (lossless inverse of `encode_canonical`)."""
+    """Parse the canonical text form (lossless inverse of `encode_canonical`).
+
+    Text longer than `_BULK_CHARS` is read by `_bulk_canonical`.  Shorter
+    text, and long text that route refuses (every malformed text among it,
+    and tokens such as ``007``), is scanned one character at a time, which
+    gives each diagnostic its message and position."""
+    if len(text) > _BULK_CHARS:
+        number = _bulk_canonical(text)
+        if number is not None:
+            return number
     s = text
     i = 0
     n = len(s)
