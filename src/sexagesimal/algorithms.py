@@ -7,8 +7,8 @@ approximate results and they carry their own precision contract.
 """
 
 import math
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from .errors import DomainError
 from .exact import (
@@ -44,14 +44,8 @@ RATIO_SHORT = "a2b2"  # (a/b)^2, drops the leading 1
 _PLIMPTON_RESOURCE = "data/plimpton322.tsv"
 
 
-class Regularity(NamedTuple):
-    """Factorization of n as 2^a * 3^b * 5^c * cofactor."""
-
-    is_regular: bool
-    exp2: int
-    exp3: int
-    exp5: int
-    cofactor: int
+Regularity = namedtuple("Regularity", ["is_regular", "exp2", "exp3", "exp5", "cofactor"])
+Regularity.__doc__ = """Factorization of n as 2^a * 3^b * 5^c * cofactor."""
 
 
 class Triple(_Record):
@@ -245,13 +239,8 @@ def plimpton_row_compute(a: int, d: int, index: int, ratio: str = RATIO_DIAGONAL
     return PlimptonRow(index=index, ratio_digits=_terminating_sexagesimal(value), a=a, d=d)
 
 
-class TableRecord(NamedTuple):
-    """One verbatim record of the embedded transcription."""
-
-    index: int
-    ratio_glyphs: str
-    a_glyphs: str
-    d_glyphs: str
+TableRecord = namedtuple("TableRecord", ["index", "ratio_glyphs", "a_glyphs", "d_glyphs"])
+TableRecord.__doc__ = """One verbatim record of the embedded transcription."""
 
 
 def load_table() -> list[TableRecord]:
@@ -262,10 +251,9 @@ def load_table() -> list[TableRecord]:
     ]
 
 
-class DigitMismatch(NamedTuple):
-    position: int  # 1-based sexagesit position in the published string
-    published: int | None
-    computed: int | None
+# position is the 1-based sexagesit position in the published string;
+# published and computed are the digits there, None past a string's end
+DigitMismatch = namedtuple("DigitMismatch", ["position", "published", "computed"])
 
 
 class RowDiff(_Record):

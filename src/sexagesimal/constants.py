@@ -8,8 +8,8 @@ reference value at the published digit count and reports match, per-digit
 mismatch, or undecodable -- published strings are never "corrected".
 """
 
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from .errors import DomainError
 from .exact import TRUNC, _diff_digits, _digits_of_int, _int_of_digits, _Record, _render, _setattr, parse_decimal
@@ -53,10 +53,9 @@ class ConstantEntry(_Record):
             raise ValueError("reference value must be positive")
 
 
-class DigitDiff(NamedTuple):
-    position: int  # 1-based sexagesit position in the published string
-    published: int | None
-    derived: int | None
+# position is the 1-based sexagesit position in the published string;
+# published and derived are the digits there, None past a string's end
+DigitDiff = namedtuple("DigitDiff", ["position", "published", "derived"])
 
 
 class EntryStatus(_Record):

@@ -33,8 +33,8 @@ ROUNDING_MODES = (TRUNC, HALF_UP, HALF_EVEN)
 # baby-step giant-step search for the period's length (see `_repetend`).
 PERIOD_STATE_BOUND = 10**6
 
-# Operands of more than this many bits are converted between int and digits
-# by divide and conquer on base**(leaf * 2**k), their denominators split into
+# Operands of more than this many bits are converted from int to digits by
+# divide and conquer on base**(leaf * 2**k), their denominators split into
 # base primes by valuations, and digit values over 60**f reduced by
 # valuations; smaller ones keep the plain per-digit and gcd loops, which are
 # faster there.
@@ -43,10 +43,6 @@ _DC_BITS = 512
 # `_divmod` leaves divisors and quotients of at most this many bits to the
 # builtin divmod, which is faster there (the cutoff of CPython's `_pylong`)
 _DIV_BITS = 4000
-
-# the largest powers of 3 and 5 below 2**30, one digit of a CPython int: a
-# remainder by either is one linear pass over the dividend
-_WORD_POW3, _WORD_POW5 = 3**18, 5**12
 
 # the decimal digits; indexed by digit value, also the digit -> text table of
 # decimal text
@@ -310,44 +306,36 @@ def _digits_of_int(n: int, base: int = BASE, width: int = 1) -> list[int]:
 
 def _int_of_digits(digits, base: int = BASE) -> int:
     """Value of a digit sequence, most significant first (the inverse of
-    `_digits_of_int`), for ``base`` <= 256: the value of each leaf of
-    digits, then pairwise products with base**(leaf * 2**k).
+    `_digits_of_int`), for ``base`` <= 256.
 
-    Up to `_FOLD_DIGITS` digits, leaves of `_DC_BITS` bits take Horner's
-    rule.  Longer sequences are folded as packed fields of one integer
-    (Lamport, "Multiple byte processing with full-word instructions", CACM
-    1975): the digits are its big-endian bytes, and each of six steps of
-    mask, shift, multiply and add turns every pair of w-byte fields into one
-    2w-byte field, from 1 up to 64 bytes; ``int.from_bytes`` then reads the
-    64-byte fields, each the value of `_FOLD_LEAF` digits."""
-    if len(digits) > _FOLD_DIGITS:
-        leaf = _FOLD_LEAF
-        raw = bytes(digits)
-        raw = bytes(-len(raw) % leaf) + raw  # leading zeros fill the top leaf
-        size = len(raw)
-        x = int.from_bytes(raw, "big")
-        power, w = base, 1
-        while w < leaf:
-            # the low w bytes of every 2w-byte field
-            mask = int.from_bytes((bytes(w) + b"\xff" * w) * (size // (2 * w)), "big")
-            x = (x >> 8 * w & mask) * power + (x & mask)
-            power *= power
-            w *= 2
-        raw = x.to_bytes(size, "big")
-        values = [int.from_bytes(raw[i : i + leaf], "big") for i in range(0, size, leaf)]
-    else:
-        leaf = _DC_BITS // base.bit_length()
-        values = []
-        start = 0
-        for stop in range(len(digits) % leaf, len(digits) + 1, leaf):
-            value = 0
-            for d in digits[start:stop]:
-                value = value * base + d
-            values.append(value)
-            start = stop
-        if len(values) == 1:
-            return values[0]
-    power = base**leaf
+    Up to `_FOLD_DIGITS` digits, Horner's rule.  Longer sequences are folded
+    as packed fields of one integer (Lamport, "Multiple byte processing with
+    full-word instructions", CACM 1975): the digits are its big-endian
+    bytes, and each of six steps of mask, shift, multiply and add turns
+    every pair of w-byte fields into one 2w-byte field, from 1 up to 64
+    bytes; ``int.from_bytes`` then reads the 64-byte fields, each the value
+    of `_FOLD_LEAF` digits, and pairwise products with
+    base**(`_FOLD_LEAF` * 2**k) join them."""
+    if len(digits) <= _FOLD_DIGITS:
+        value = 0
+        for d in digits:
+            value = value * base + d
+        return value
+    leaf = _FOLD_LEAF
+    raw = bytes(digits)
+    raw = bytes(-len(raw) % leaf) + raw  # leading zeros fill the top leaf
+    size = len(raw)
+    x = int.from_bytes(raw, "big")
+    power, w = base, 1
+    while w < leaf:
+        # the low w bytes of every 2w-byte field
+        mask = int.from_bytes((bytes(w) + b"\xff" * w) * (size // (2 * w)), "big")
+        x = (x >> 8 * w & mask) * power + (x & mask)
+        power *= power
+        w *= 2
+    raw = x.to_bytes(size, "big")
+    values = [int.from_bytes(raw[i : i + leaf], "big") for i in range(0, size, leaf)]
+    # power is base**leaf
     while True:
         odd = len(values) % 2  # an unpaired value is the most significant
         values[odd:] = [hi * power + lo for hi, lo in zip(values[odd::2], values[odd + 1 :: 2])]
@@ -480,40 +468,33 @@ class SexNumber(_Record):
 
     @classmethod
     def from_digits(cls, sign: int, digits, frac_count: int) -> "SexNumber":
-        """Build the canonical SexNumber for an arbitrary digit string."""
-        digits = list(digits)
-        if frac_count > len(digits):
-            digits = [0] * (frac_count - len(digits)) + digits
-        if sign == 0 or not any(digits):
-            return cls(0, (0,), 0)
-        while frac_count and digits[-1] == 0:
-            digits.pop()
-            frac_count -= 1
-        int_len = len(digits) - frac_count
-        if int_len == 0:
-            digits = [0] + digits
-            int_len = 1
-        keep = int_len
-        while keep > 1 and digits[int_len - keep] == 0:
-            keep -= 1
-        digits = digits[int_len - keep :]
-        return cls(1 if sign > 0 else -1, tuple(digits), frac_count)
+        """The canonical SexNumber of an arbitrary digit sequence: leading
+        integer zeros and trailing fractional zeros are dropped, a missing
+        integer digit becomes 0, and a zero value or ``sign`` 0 gives zero.
 
-    @classmethod
-    def _from_digit_bytes(cls, sign: int, digits: bytes, frac_count: int) -> "SexNumber":
-        """`from_digits` for digits as `bytes` or `bytearray`, a sign that is
-        0 only when every digit is, and 0 <= frac_count <= len(digits): the
-        zeros are trimmed by C-level strips and slices, and the digits reach
-        the constructor as bytes, for its one-pass range check.  Long
-        decoded numerals and `to_sexagesimal` build through this; a caller
-        with few digits in a list is faster with `from_digits`."""
-        kept = digits.rstrip(b"\0")
-        if not kept:
+        The digits are trimmed as `bytes` by C-level strips and slices, and
+        reach the constructor as bytes, for its one-pass range check.  A
+        digit that is no int in 0..59 is refused with the constructor's
+        message."""
+        if sign == 0:
             return cls(0, (0,), 0)
-        cut = min(len(digits) - len(kept), frac_count)  # trailing fractional zeros
+        if digits.__class__ not in (bytes, bytearray):
+            digits = list(digits)
+            try:
+                digits = bytes(digits)
+            except (TypeError, ValueError):  # not an int in 0..255
+                bad = next(d for d in digits if not (isinstance(d, int) and 0 <= d < BASE))
+                raise ValueError(f"sexagesit out of range: {bad!r}") from None
+        if not 0 <= frac_count <= len(digits):
+            if frac_count < 0:
+                raise ValueError("frac_count out of range")
+            digits = bytes(frac_count - len(digits)) + digits
         int_len = len(digits) - frac_count
         head = digits[:int_len].lstrip(b"\0") or b"\0"
-        return cls(sign, head + digits[int_len : len(digits) - cut], frac_count - cut)
+        tail = digits[int_len:].rstrip(b"\0")
+        if tail or head != b"\0":
+            return cls(1 if sign > 0 else -1, head + tail, len(tail))
+        return cls(0, (0,), 0)
 
     @classmethod
     def from_int(cls, n: int) -> "SexNumber":
@@ -549,18 +530,17 @@ def from_sexagesimal(x: SexNumber) -> Fraction:
     The value is N / 60**f for the digits' integer N and f = frac_count.
     Up to `_DC_BITS` bits of N, `Fraction` reduces it by gcd.  Past that,
     where the gcd is quadratic, the common factor 2**a * 3**b * 5**c comes
-    from valuations capped at 2f, f and f: a from N's lowest set bit, and
-    b and c from N mod 3**18 and N mod 5**12, one-word remainders.  When
-    either remainder is 0 the gcd is used after all.
+    from valuations capped at 2f, f and f: a from N's lowest set bit, and b
+    and c from `_valuation`, which divides them out of N.
     """
     f = x.frac_count
     n = _int_of_digits(x.digits)
-    if n.bit_length() > _DC_BITS and (r3 := n % _WORD_POW3) and (r5 := n % _WORD_POW5):
-        a = min((n & -n).bit_length() - 1, 2 * f)
-        b = min(_valuation(r3, 3)[0], f)
-        c = min(_valuation(r5, 5)[0], f)
-        return _coprime_fraction(x.sign * ((n >> a) // (3**b * 5**c)), 3 ** (f - b) * 5 ** (f - c) << 2 * f - a)
-    return Fraction(x.sign * n, BASE**f)
+    if n.bit_length() <= _DC_BITS:
+        return Fraction(x.sign * n, BASE**f)
+    a = min((n & -n).bit_length() - 1, 2 * f)
+    b, n = _valuation(n >> a, 3, f)
+    c, n = _valuation(n, 5, f)
+    return _coprime_fraction(x.sign * n, 3 ** (f - b) * 5 ** (f - c) << 2 * f - a)
 
 
 def _coprime_fraction(num: int, den: int) -> Fraction:
@@ -637,24 +617,23 @@ class Expansion(_Record):
         )
 
 
-def _valuation(n: int, p: int) -> tuple[int, int]:
-    """(v, n // p**v) for the largest v with p**v | n, found by dividing out
-    p**(2**j) from the largest j down: O(log v) big divisions, not v.  Past
-    2 * `_DIV_BITS` bits of n they take `_divmod`, so they are subquadratic
-    also where the builtin is not; below that `_divmod` would only call the
-    builtin, as either the divisor or the quotient is short."""
-    div = divmod if n.bit_length() <= 2 * _DIV_BITS else _divmod
+def _valuation(n: int, p: int, cap: int) -> tuple[int, int]:
+    """(v, n // p**v) for the largest v <= cap with p**v | n, found by
+    dividing out p**(2**j) from the largest j down: O(log v) big divisions
+    for the v it returns, not v.  They take `_divmod`, so they are
+    subquadratic also where the builtin is not."""
     powers = []
     q = p
-    while div(n, q)[1] == 0:
+    while 1 << len(powers) <= cap and _divmod(n, q)[1] == 0:
         powers.append(q)
         q *= q
     v = 0
     for j in reversed(range(len(powers))):
-        quotient, r = div(n, powers[j])
-        if r == 0:
-            n = quotient
-            v += 1 << j
+        if v + (1 << j) <= cap:
+            quotient, r = _divmod(n, powers[j])
+            if r == 0:
+                n = quotient
+                v += 1 << j
     return v, n
 
 
@@ -687,7 +666,7 @@ def _split_denominator(den: int, base: int) -> tuple[int, int]:
                 v = (den & -den).bit_length() - 1
                 den >>= v
             else:
-                v, den = _valuation(den, p)
+                v, den = _valuation(den, p, den.bit_length())
             k = max(k, -(-v // e))
         p += 1
     return k, den
@@ -874,7 +853,7 @@ def to_sexagesimal(
     info = _expand(x, BASE, max_frac, detect_repetend)
     if info.terminates_within(max_frac):
         # exact at this budget: the expansion's digits are the number's
-        return SexNumber._from_digit_bytes(info.sign, bytes(info.int_digits + info.frac_digits), info.frac_len), info
+        return SexNumber.from_digits(info.sign, bytes(info.int_digits + info.frac_digits), info.frac_len), info
     # the first max_frac fractional digits: the pre-period, then the period
     # repeated (sliced before bytes(), as a period may be far longer), and
     # past a give-up the digits the search did not reach; r is the remainder
@@ -892,7 +871,7 @@ def to_sexagesimal(
     if _round_quotient(d * den + r, den, mode) > d:
         kept = digits.rstrip(bytes((BASE - 1,)))  # the carry turns trailing 59s into 0s
         digits = kept[:-1] + bytes((kept[-1] + 1,)) + bytes(len(digits) - len(kept))
-    return SexNumber._from_digit_bytes(info.sign, digits, max_frac), info
+    return SexNumber.from_digits(info.sign, digits, max_frac), info
 
 
 def _round_to(x: Fraction, max_frac: int) -> SexNumber:

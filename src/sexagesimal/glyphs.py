@@ -14,10 +14,6 @@ from types import MappingProxyType
 from .errors import QUOTE_CHARS, ParseError, quote
 from .exact import _UNBCD, BASE, SexNumber, _Record, _render, _setattr
 
-# the decoders read text of more characters than this by C-level string
-# operations, and shorter text with their scanners, which are faster there
-_BULK_CHARS = 16
-
 # the glyph of each value 0..59 at its index; value 50 is LATIN SMALL LETTER
 # O, as published, among the Greek letters
 _DEFAULT_FORWARD = dict(enumerate("0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZαβγδεζηθικλμνξoπρστυφχψω"))
@@ -74,8 +70,7 @@ class GlyphTable(_Record):
         _setattr(self, "forward", MappingProxyType(dict(forward)))
         _setattr(self, "aliases", MappingProxyType(dict(aliases)))
         _setattr(self, "reverse", MappingProxyType(reverse))
-        # derived, not a field: the `str.translate` map of `decode_glyphs`'s
-        # bulk route.  Each glyph and alias goes to its value and a space to
+        # derived, not a field: the `str.translate` map of `decode_glyphs`.  Each glyph and alias goes to its value and a space to
         # nothing; "-", ";" and every other code point below BASE go to 255,
         # out of range, as do (unchanged) the unknown ones from BASE to 255
         bulk_map = dict.fromkeys(range(BASE), 255)
@@ -137,69 +132,58 @@ def _decode_raw(text: str, table: GlyphTable) -> list[int]:
     return digits
 
 
-def _bulk_glyphs(text: str, table: GlyphTable) -> SexNumber | None:
-    """`decode_glyphs` by C-level string operations, or None when this route
-    refuses the text: one ``partition`` at the radix point and one
-    ``str.translate`` of each part through the table's map, whose result
-    must encode as Latin-1 to digit values below BASE.  It refuses every
-    malformed text, so that the scanner can name the fault."""
-    sign = -1 if text[:1] == "-" else 1
-    int_part, point, frac_part = text[sign < 0 :].partition(";")
-    try:
-        int_digits = int_part.translate(table._bulk_map).encode("latin-1")
-        frac_digits = frac_part.translate(table._bulk_map).encode("latin-1")
-    except UnicodeEncodeError:  # a code point past 255, not a glyph
-        return None
-    digits = int_digits + frac_digits
-    if int_digits and (frac_digits or not point) and max(digits) < BASE:
-        return SexNumber._from_digit_bytes(sign, digits, len(frac_digits))
-    return None
-
-
 def decode_glyphs(text: str, table: GlyphTable = DEFAULT_TABLE) -> SexNumber:
     """Inverse of `encode_glyphs`; spaces between glyphs are ignored and
     aliases resolve to their canonical digit.  Positions in errors are
     1-based indexes into the original text.
 
-    Text longer than `_BULK_CHARS` is read by `_bulk_glyphs`.  Shorter
-    text, and long text that route refuses (every malformed text among it),
-    is scanned one character at a time, which gives each diagnostic its
-    message and position."""
-    if len(text) > _BULK_CHARS:
-        number = _bulk_glyphs(text, table)
-        if number is not None:
-            return number
-    sign = 1
-    digits: list[int] = []
-    frac_start: int | None = None
-    seen_glyph = False
-    for i, ch in enumerate(text):
-        pos = i + 1
+    The text is read by C-level string operations, whatever its length:
+    the spaces before a ``-`` sign are stripped, one ``partition`` splits
+    at the radix point, and one ``str.translate`` of each part through the
+    table's map must encode as Latin-1 to digit values below BASE.  Text
+    this refuses is malformed, and `_glyph_fault` names its fault."""
+    body = text.lstrip(" ")
+    sign = -1 if body[:1] == "-" else 1
+    int_part, point, frac_part = body[sign < 0 :].partition(";")
+    try:
+        int_digits = int_part.translate(table._bulk_map).encode("latin-1")
+        frac_digits = frac_part.translate(table._bulk_map).encode("latin-1")
+    except UnicodeEncodeError:  # a code point past 255, not a glyph
+        _glyph_fault(text, table)
+    digits = int_digits + frac_digits
+    if not (int_digits and (frac_digits or not point) and max(digits) < BASE):
+        _glyph_fault(text, table)
+    return SexNumber.from_digits(sign, digits, len(frac_digits))
+
+
+def _glyph_fault(text: str, table: GlyphTable):
+    """Raise the `GlyphError` for the first fault of glyph text, scanning it
+    one character at a time; it builds no digits.  Text without a fault is
+    a defect of the caller, and fails an assertion."""
+    negative = seen_glyph = in_frac = frac_glyph = False
+    for pos, ch in enumerate(text, 1):
         if ch == " ":
             continue
         if ch == "-":
-            if seen_glyph or sign < 0 or frac_start is not None:
+            if seen_glyph or negative or in_frac:
                 raise GlyphError(f"unexpected '-' at position {pos}", position=pos)
-            sign = -1
-            continue
-        if ch == ";":
-            if frac_start is not None:
+            negative = True
+        elif ch == ";":
+            if in_frac:
                 raise GlyphError(f"second radix point at position {pos}", position=pos)
             if not seen_glyph:
                 raise GlyphError(f"radix point before any digit at position {pos}", position=pos)
-            frac_start = len(digits)
-            continue
-        v = table.value(ch)
-        if v is None:
+            in_frac = True
+        elif table.value(ch) is None:
             raise UnknownGlyphError(ch, pos)
-        digits.append(v)
-        seen_glyph = True
+        else:
+            seen_glyph = True
+            frac_glyph = in_frac
     if not seen_glyph:
         raise GlyphError("no digits in glyph text", position=1)
-    if frac_start == len(digits):
+    if in_frac and not frac_glyph:
         raise GlyphError("radix point with no fractional digits", position=len(text))
-    frac_count = 0 if frac_start is None else len(digits) - frac_start
-    return SexNumber.from_digits(sign, digits, frac_count)
+    raise AssertionError(f"glyph text without a fault: {quote(text)}")
 
 
 def encode_canonical(x: SexNumber) -> str:
@@ -208,14 +192,17 @@ def encode_canonical(x: SexNumber) -> str:
     return x.canonical_text()
 
 
-def _bulk_canonical(text: str) -> SexNumber | None:
-    """`decode_canonical` by C-level string operations, or None when this
-    route refuses the text: ``partition`` at the radix point and ``split``
-    at the colons; when every token is one or two ASCII digits, each is
-    zero-filled to two, and one ``bytes.fromhex`` and one
-    ``bytes.translate`` through `exact._UNBCD` give the digit values, all
-    below BASE or the text is refused.  It refuses every malformed text,
-    and tokens such as ``007``, which the scanner reads."""
+def decode_canonical(text: str) -> SexNumber:
+    """Parse the canonical text form (lossless inverse of `encode_canonical`).
+    A sexagesit may carry leading zeros (``007`` is 7).
+
+    The text is read by C-level string operations, whatever its length:
+    ``partition`` at the radix point and ``split`` at the colons; every
+    token, its leading zeros stripped when it has more than two characters,
+    is zero-filled to two ASCII digits, and one ``bytes.fromhex`` and one
+    ``bytes.translate`` through `exact._UNBCD` give the digit values, which
+    must all be below BASE.  Text this refuses is malformed, and
+    `_canonical_fault` names its fault."""
     sign = -1 if text[:1] == "-" else 1
     int_part, point, frac_part = text[sign < 0 :].partition(";")
     tokens = int_part.split(":")
@@ -224,63 +211,45 @@ def _bulk_canonical(text: str) -> SexNumber | None:
         frac_tokens = frac_part.split(":")
         frac_count = len(frac_tokens)
         tokens += frac_tokens
-    if "" in tokens:
-        return None
     numerals = "".join(map(str.zfill, tokens, repeat(2)))
-    if len(numerals) != 2 * len(tokens) or not (numerals.isascii() and numerals.isdigit()):
-        return None
+    if len(numerals) != 2 * len(tokens):  # a token of three characters or more
+        numerals = "".join(map(str.zfill, map(str.lstrip, tokens, repeat("0")), repeat(2)))
+    if "" in tokens or len(numerals) != 2 * len(tokens) or not (numerals.isascii() and numerals.isdigit()):
+        _canonical_fault(text)
     digits = bytes.fromhex(numerals).translate(_UNBCD)
     if max(digits) >= BASE:
-        return None
-    return SexNumber._from_digit_bytes(sign, digits, frac_count)
+        _canonical_fault(text)
+    return SexNumber.from_digits(sign, digits, frac_count)
 
 
-def decode_canonical(text: str) -> SexNumber:
-    """Parse the canonical text form (lossless inverse of `encode_canonical`).
-
-    Text longer than `_BULK_CHARS` is read by `_bulk_canonical`.  Shorter
-    text, and long text that route refuses (every malformed text among it,
-    and tokens such as ``007``), is scanned one character at a time, which
-    gives each diagnostic its message and position."""
-    if len(text) > _BULK_CHARS:
-        number = _bulk_canonical(text)
-        if number is not None:
-            return number
-    s = text
-    i = 0
-    n = len(s)
-    sign = 1
-    if i < n and s[i] == "-":
-        sign = -1
-        i += 1
-    digits: list[int] = []
-    frac_start: int | None = None
+def _canonical_fault(text: str):
+    """Raise the `GlyphError` for the first fault of canonical text,
+    scanning it one token at a time; it builds no digits.  Text without a
+    fault is a defect of the caller, and fails an assertion."""
+    n = len(text)
+    i = 1 if text[:1] == "-" else 0
+    in_frac = False
     while True:
         start = i
-        while i < n and s[i].isascii() and s[i].isdigit():
+        while i < n and text[i].isascii() and text[i].isdigit():
             i += 1
         if i == start:
             raise GlyphError(f"expected sexagesit at position {start + 1}: {quote(text)}", position=start + 1)
-        token = s[start:i]
+        token = text[start:i]
         if len(token) > 2:
             token = token.lstrip("0") or "0"
         # a sexagesit has at most two significant digits, so a longer token is
         # out of range without converting it (and whatever its length)
-        value = int(token) if len(token) <= 2 else BASE
-        if value >= BASE:
+        if len(token) > 2 or int(token) >= BASE:
             shown = token if len(token) <= QUOTE_CHARS else quote(token)
             raise DigitRangeError(f"sexagesit {shown} out of range at position {start + 1}", position=start + 1)
-        digits.append(value)
         if i == n:
             break
-        if s[i] == ":":
-            i += 1
-        elif s[i] == ";":
-            if frac_start is not None:
+        if text[i] == ";":
+            if in_frac:
                 raise GlyphError(f"second radix point at position {i + 1}", position=i + 1)
-            frac_start = len(digits)
-            i += 1
-        else:
-            raise GlyphError(f"unexpected character {s[i]!r} at position {i + 1}", position=i + 1)
-    frac_count = 0 if frac_start is None else len(digits) - frac_start
-    return SexNumber.from_digits(sign, digits, frac_count)
+            in_frac = True
+        elif text[i] != ":":
+            raise GlyphError(f"unexpected character {text[i]!r} at position {i + 1}", position=i + 1)
+        i += 1
+    raise AssertionError(f"canonical text without a fault: {quote(text)}")

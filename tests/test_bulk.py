@@ -1,18 +1,115 @@
 """Bulk digit kernels against the per-digit code they stand in for: the
-decoders' C-level routes against their scanners, the packed-field fold and
-split against Horner's rule, and the byte-sequence range check of
-`SexNumber` against the digit-by-digit one."""
+decoders against reference scanners that build each number digit by digit,
+the packed-field fold and split against Horner's rule, and `SexNumber`'s
+byte-sequence builder and range check against the digit-by-digit ones."""
 
 import random
-import sys
-from unittest import mock
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
 
 from sexagesimal import DEFAULT_TABLE, GlyphTable, ParseError, SexNumber, from_sexagesimal, glyphs
+from sexagesimal.errors import QUOTE_CHARS, quote
 from sexagesimal.exact import _FOLD_DIGITS, _FOLD_LEAF, _digits_of_int, _int_of_digits, to_sexagesimal
-from sexagesimal.glyphs import _BULK_CHARS, _bulk_canonical, _bulk_glyphs, decode_canonical, decode_glyphs
+from sexagesimal.glyphs import DigitRangeError, GlyphError, UnknownGlyphError, decode_canonical, decode_glyphs
+
+
+def _reference_from_digits(sign, digits, frac_count):
+    """The canonical `SexNumber` of a digit sequence, trimmed one list item
+    at a time."""
+    digits = list(digits)
+    if frac_count > len(digits):
+        digits = [0] * (frac_count - len(digits)) + digits
+    if sign == 0 or not any(digits):
+        return SexNumber(0, (0,), 0)
+    while frac_count and digits[-1] == 0:
+        digits.pop()
+        frac_count -= 1
+    int_len = len(digits) - frac_count
+    if int_len == 0:
+        digits = [0] + digits
+        int_len = 1
+    keep = int_len
+    while keep > 1 and digits[int_len - keep] == 0:
+        keep -= 1
+    digits = digits[int_len - keep :]
+    return SexNumber(1 if sign > 0 else -1, tuple(digits), frac_count)
+
+
+def _reference_glyphs(text, table=DEFAULT_TABLE):
+    """`decode_glyphs` as a scan of one character at a time."""
+    sign = 1
+    digits = []
+    frac_start = None
+    seen_glyph = False
+    for i, ch in enumerate(text):
+        pos = i + 1
+        if ch == " ":
+            continue
+        if ch == "-":
+            if seen_glyph or sign < 0 or frac_start is not None:
+                raise GlyphError(f"unexpected '-' at position {pos}", position=pos)
+            sign = -1
+            continue
+        if ch == ";":
+            if frac_start is not None:
+                raise GlyphError(f"second radix point at position {pos}", position=pos)
+            if not seen_glyph:
+                raise GlyphError(f"radix point before any digit at position {pos}", position=pos)
+            frac_start = len(digits)
+            continue
+        v = table.value(ch)
+        if v is None:
+            raise UnknownGlyphError(ch, pos)
+        digits.append(v)
+        seen_glyph = True
+    if not seen_glyph:
+        raise GlyphError("no digits in glyph text", position=1)
+    if frac_start == len(digits):
+        raise GlyphError("radix point with no fractional digits", position=len(text))
+    frac_count = 0 if frac_start is None else len(digits) - frac_start
+    return _reference_from_digits(sign, digits, frac_count)
+
+
+def _reference_canonical(text):
+    """`decode_canonical` as a scan of one token at a time."""
+    s = text
+    i = 0
+    n = len(s)
+    sign = 1
+    if i < n and s[i] == "-":
+        sign = -1
+        i += 1
+    digits = []
+    frac_start = None
+    while True:
+        start = i
+        while i < n and s[i].isascii() and s[i].isdigit():
+            i += 1
+        if i == start:
+            raise GlyphError(f"expected sexagesit at position {start + 1}: {quote(text)}", position=start + 1)
+        token = s[start:i]
+        if len(token) > 2:
+            token = token.lstrip("0") or "0"
+        value = int(token) if len(token) <= 2 else 60
+        if value >= 60:
+            shown = token if len(token) <= QUOTE_CHARS else quote(token)
+            raise DigitRangeError(f"sexagesit {shown} out of range at position {start + 1}", position=start + 1)
+        digits.append(value)
+        if i == n:
+            break
+        if s[i] == ":":
+            i += 1
+        elif s[i] == ";":
+            if frac_start is not None:
+                raise GlyphError(f"second radix point at position {i + 1}", position=i + 1)
+            frac_start = len(digits)
+            i += 1
+        else:
+            raise GlyphError(f"unexpected character {s[i]!r} at position {i + 1}", position=i + 1)
+    frac_count = 0 if frac_start is None else len(digits) - frac_start
+    return _reference_from_digits(sign, digits, frac_count)
 
 
 def _outcome(decode, text, *args):
@@ -24,32 +121,31 @@ def _outcome(decode, text, *args):
         return type(exc), str(exc), exc.position
 
 
-def _scanned(decode, text, *args):
-    """`_outcome` of the scanner alone: no text is long enough for the bulk
-    route."""
-    with mock.patch.object(glyphs, "_BULK_CHARS", sys.maxsize):
-        return _outcome(decode, text, *args)
+def _assert_prefixes_match(decode, reference, text, *args):
+    """The decoder and its reference agree on every prefix of text, from
+    the empty one up to text itself."""
+    for stop in range(len(text) + 1):
+        prefix = text[:stop]
+        assert _outcome(decode, prefix, *args) == _outcome(reference, prefix, *args), prefix
 
 
-def _long(draw, pieces, separators, filler):
-    """Text past `_BULK_CHARS`: an optional sign, then pieces joined by
-    drawn separators, then valid filler until it is long enough."""
-    sign = draw(st.sampled_from(["", "-", " -", "--"]))
-    parts = draw(st.lists(st.sampled_from(pieces), min_size=1, max_size=40))
+def _texts(draw, pieces, separators):
+    """An optional sign, then zero or more pieces joined by drawn
+    separators: text of any length from 0 characters up."""
+    sign = draw(st.sampled_from(["", "-", " -", "  -", "--"]))
+    parts = draw(st.lists(st.sampled_from(pieces), max_size=40))
     seps = draw(st.lists(st.sampled_from(separators), min_size=len(parts), max_size=len(parts)))
-    text = sign + "".join(p + s for p, s in zip(parts, seps))
-    while len(text) <= _BULK_CHARS:
-        text = filler + text
-    return text
+    return sign + "".join(p + s for p, s in zip(parts, seps))
 
 
-# tokens: empty, the values 60 and 99, 007, a non-ASCII digit, a sign inside
-_TOKENS = ["0", "1", "5", "07", "00", "10", "59", "", "60", "99", "007", "٣", "-", "- 1", " 1", "1-"]
+# tokens: empty, the values 60 and 99, leading zeros, a non-ASCII digit, a
+# sign inside
+_TOKENS = ["0", "1", "5", "07", "00", "10", "59", "", "60", "99", "007", "0080", "000", "٣", "-", "- 1", " 1", "1-"]
 
 
 @st.composite
 def _canonical_texts(draw):
-    return _long(draw, _TOKENS, [":", ":", ":", ";", ""], "1:")
+    return _texts(draw, _TOKENS, [":", ":", ":", ";", ""])
 
 
 # glyphs, aliases and spaces, and the unknown: Latin v, a code point below
@@ -59,17 +155,29 @@ _GLYPHS = [*DEFAULT_TABLE.forward.values(), *DEFAULT_TABLE.aliases, " ", "v", "\
 
 @st.composite
 def _glyph_texts(draw):
-    return _long(draw, _GLYPHS, ["", "", "", " ", ";"], "1")
+    return _texts(draw, _GLYPHS, ["", "", "", " ", ";"])
 
 
 class TestDecodersAgainstScanners:
     @given(_canonical_texts())
     def test_canonical(self, text):
-        assert _outcome(decode_canonical, text) == _scanned(decode_canonical, text)
+        assert _outcome(decode_canonical, text) == _outcome(_reference_canonical, text)
 
     @given(_glyph_texts())
     def test_glyphs(self, text):
-        assert _outcome(decode_glyphs, text) == _scanned(decode_glyphs, text)
+        assert _outcome(decode_glyphs, text) == _outcome(_reference_glyphs, text)
+
+    def test_short_texts_exhaustively(self):
+        # every text of up to three characters over each alphabet
+        canonical = "0159:;-٣ "
+        glyph_chars = "01ωϕ ;-v:Ω"
+        for n in range(4):
+            for chars in product(canonical, repeat=n):
+                text = "".join(chars)
+                assert _outcome(decode_canonical, text) == _outcome(_reference_canonical, text), text
+            for chars in product(glyph_chars, repeat=n):
+                text = "".join(chars)
+                assert _outcome(decode_glyphs, text) == _outcome(_reference_glyphs, text), text
 
     @pytest.mark.parametrize(
         "text",
@@ -86,14 +194,17 @@ class TestDecodersAgainstScanners:
             "11:2:3:4-5:6:7:8:9",  # '-' inside
             "  -1:2:3:4:5:6:7:8",  # spaces before '-'
             "-11:2:3:4:5:6:7:8:9",
-            "007:2:3:4:5:6:7:8",  # accepted by the scanner alone
+            "007:2:3:4:5:6:7:8",  # leading zeros
             "11:2:3:4:5:6:7:0080",
             "0:0:0:0:0:0:0:0;0:0",
+            "007",
+            "0080",
+            "-000;0007:00",
+            "1;30",
         ],
     )
     def test_canonical_cases(self, text):
-        assert len(text) > _BULK_CHARS
-        assert _outcome(decode_canonical, text) == _scanned(decode_canonical, text)
+        _assert_prefixes_match(decode_canonical, _reference_canonical, text)
 
     @pytest.mark.parametrize(
         "text",
@@ -111,11 +222,13 @@ class TestDecodersAgainstScanners:
             "1ω0F1ω0F1\x05ω0F1ω0F",
             "00000000000000000;0",
             "-                 ",
+            "  -1ω",
+            " - -1",
+            "1 ; 3 0",
         ],
     )
     def test_glyph_cases(self, text):
-        assert len(text) > _BULK_CHARS
-        assert _outcome(decode_glyphs, text) == _scanned(decode_glyphs, text)
+        _assert_prefixes_match(decode_glyphs, _reference_glyphs, text)
 
     def test_custom_table_with_separator_glyphs(self):
         # a table whose glyphs include ' ', '-' and ';': the scanner reads
@@ -124,36 +237,59 @@ class TestDecodersAgainstScanners:
         forward[1], forward[2], forward[3] = " ", "-", ";"
         table = GlyphTable(forward, {})
         for text in ["-5A5A5A5A5A5A5A5A5A", "5A5A5A5A5A5A-5A5A5A", "5A5A 5A5A5A;5A5A5A5A", "5A5A5A5A;5A5A;5A5A"]:
-            assert _outcome(decode_glyphs, text, table) == _scanned(decode_glyphs, text, table)
+            _assert_prefixes_match(decode_glyphs, _reference_glyphs, text, table)
+
+
+def _scanner_called(*args):
+    raise AssertionError("a scanner was called")
 
 
 class TestBulkRouteRuns:
-    """Long valid text decodes with the scanners' constructor,
-    `SexNumber.from_digits`, patched to raise; the bulk routes build through
-    `SexNumber._from_digit_bytes`."""
+    """Valid text of any length decodes with the scanners, which only
+    diagnose, patched to raise; and a scanner that finds no fault fails
+    loudly instead of returning."""
 
     @pytest.fixture
     def no_scanners(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("a scanner was called")
+        monkeypatch.setattr(glyphs, "_glyph_fault", _scanner_called)
+        monkeypatch.setattr(glyphs, "_canonical_fault", _scanner_called)
 
-        monkeypatch.setattr(SexNumber, "from_digits", refuse)
-
-    @pytest.mark.parametrize("n", [_BULK_CHARS, 1_000, 30_000])
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 1_000, 30_000])
     def test_long_numerals(self, no_scanners, n):
         rng = random.Random(n)
-        digits = [rng.randrange(1, 60)] + [rng.randrange(60) for _ in range(n - 2)] + [rng.randrange(1, 60)]
+        digits = [rng.randrange(1, 60) for _ in range(n)]
+        digits[1:-1] = [rng.randrange(60) for _ in range(n - 2)]
         x = SexNumber(-1, tuple(digits), n // 4)
-        assert decode_canonical(x.canonical_text()) == _bulk_canonical(x.canonical_text()) == x
-        assert decode_glyphs(glyphs.encode_glyphs(x)) == x
-        spaced = " ".join(glyphs.encode_glyphs(x)).replace("φ", "ϕ")
-        assert decode_glyphs(spaced) == _bulk_glyphs(spaced, DEFAULT_TABLE) == x
+        for number in (x, SexNumber(1, x.digits, x.frac_count)):
+            assert decode_canonical(number.canonical_text()) == number
+            assert decode_glyphs(glyphs.encode_glyphs(number)) == number
+        spaced = "  - " + " ".join(glyphs.encode_glyphs(x)[1:]).replace("φ", "ϕ")
+        assert decode_glyphs(spaced) == x
+        padded = "-" + ":".join("%03d" % d for d in x.int_digits) + ";" + ":".join(map(str, x.frac_digits))
+        assert decode_canonical(padded.rstrip(";")) == x
 
     def test_zeros_are_trimmed(self, no_scanners):
         text = "0:0:0:0:1:0:0;0:30:0:0:0"
         assert decode_canonical(text) == SexNumber(1, (1, 0, 0, 0, 30), 2)
         assert decode_canonical("-" + text.replace("1", "0").replace("30", "0")) == SexNumber(0, (0,), 0)
         assert decode_glyphs("000001000;0U000000") == SexNumber(1, (1, 0, 0, 0, 0, 30), 2)
+
+    def test_leading_zero_tokens_and_spaced_signs(self, no_scanners):
+        assert decode_canonical("007") == SexNumber(1, (7,), 0)
+        assert decode_canonical("-0000059;000:030") == SexNumber(-1, (59, 0, 30), 2)
+        assert decode_canonical("0" * 5_000 + "1") == SexNumber(1, (1,), 0)
+        assert decode_glyphs("  -1ω") == SexNumber(-1, (1, 59), 0)
+        assert decode_glyphs(" - 1 ; U ") == SexNumber(-1, (1, 30), 1)
+
+    @pytest.mark.parametrize("text", ["1;30", "-0:7", "007"])
+    def test_canonical_scanner_without_a_fault_fails_loudly(self, text):
+        with pytest.raises(AssertionError, match="without a fault"):
+            glyphs._canonical_fault(text)
+
+    @pytest.mark.parametrize("text", ["1U", "  -1ω", "1;U"])
+    def test_glyph_scanner_without_a_fault_fails_loudly(self, text):
+        with pytest.raises(AssertionError, match="without a fault"):
+            glyphs._glyph_fault(text, DEFAULT_TABLE)
 
 
 def _horner(digits, base):
@@ -233,11 +369,14 @@ class TestDigitBytes:
 
     @given(st.lists(st.integers(0, 59), max_size=40), st.data())
     def test_byte_builder_matches_from_digits(self, digits, data):
-        frac_count = data.draw(st.integers(0, len(digits)))
-        sign = data.draw(st.sampled_from([-1, 1]))
-        expected = SexNumber.from_digits(sign, digits, frac_count)
-        for raw in (bytes(digits), bytearray(digits)):
-            assert SexNumber._from_digit_bytes(sign, raw, frac_count) == expected
+        # the builder against the reference that trims a list one item at a
+        # time, for every kind of digit sequence, sign 0 and a frac_count
+        # past the digits
+        frac_count = data.draw(st.integers(0, len(digits) + 3))
+        sign = data.draw(st.sampled_from([-1, 0, 1, 5]))
+        expected = _reference_from_digits(sign, digits, frac_count)
+        for raw in (digits, tuple(digits), iter(digits), bytes(digits), bytearray(digits)):
+            assert SexNumber.from_digits(sign, raw, frac_count) == expected
 
     def test_to_sexagesimal_round_trip_across_the_cutoffs(self):
         rng = random.Random(7)

@@ -175,6 +175,14 @@ def test_cli_import_skips_dataclasses_and_inspect():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
+def test_cli_import_skips_typing():
+    # the package's records are `collections.namedtuple`s, so `typing` (about
+    # 6 ms of import) stays out; -S leaves out site, which may import it
+    code = "import sys, sexagesimal.cli; print('typing' in sys.modules)"
+    proc = run_python(["-S", "-c", code], timeout=20)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+
 def test_sqrt_of_small_value_finishes():
     # from the start 1 the exact iterates doubled in size for 18 steps
     proc = run_python(["-m", "sexagesimal", "sqrt", "--p", "8", "0.00000001"], timeout=5)

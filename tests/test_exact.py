@@ -24,6 +24,7 @@ from sexagesimal.exact import (
     _int_of_digits,
     _order,
     _split_denominator,
+    _valuation,
 )
 from sexagesimal import (
     HALF_EVEN,
@@ -413,14 +414,52 @@ class TestFromSexagesimal:
     @pytest.mark.parametrize("family", [45, 15, 2, 30])
     @pytest.mark.parametrize("sign", [-1, 1])
     def test_power_families(self, family, sign):
-        # high powers of 3 and 5 take the gcd after all; low ones, and any
-        # power of 2, the valuations, with caps at f = 0 and small f
+        # powers of 2, 3 and 5, high and low, with caps at f = 0 and small f
         for k in (3, 11, 12, 13, 17, 18, 19, 60, 90, 200, 400, 1500):
             digits = _digits_of_int(family**k)
             for f in {0, 1, 2, 11, 12, 13, 17, 18, 19, 40, len(digits) // 2, len(digits)}:
                 self._assert_exact(SexNumber.from_digits(sign, digits, f))
                 # a cofactor coprime to 30 keeps the low valuations
                 self._assert_exact(SexNumber.from_digits(sign, _digits_of_int(family**k * (2**_DC_BITS + 7)), f))
+
+    @pytest.mark.parametrize("f", [0, 1, 17, 18, 19, 300])
+    def test_no_gcd_past_the_cutoff(self, f):
+        # N divisible by 3**18 * 5**12, and by 3**f: no gcd of an operand
+        # past _DC_BITS, where it is quadratic
+        widths = []
+        gcd = math.gcd
+
+        def counted(*args):
+            widths.append(max(a.bit_length() for a in args))
+            return gcd(*args)
+
+        for n in (3**18 * 5**12 * (2**_DC_BITS + 7), 3 ** max(f, 18) * 5**12 * 2**f * (2**_DC_BITS + 7)):
+            x = SexNumber.from_digits(-1, _digits_of_int(n), f)
+            with mock.patch.object(math, "gcd", counted):
+                from_sexagesimal(x)
+            self._assert_exact(x)
+        assert max(widths, default=0) <= _DC_BITS
+
+    @given(st.sampled_from([2, 3, 5]), st.integers(0, 300), st.integers(0, 400), st.integers(0, 2**600))
+    def test_capped_valuation(self, p, v, cap, seed):
+        n = p**v * (seed * p + 1)
+        w = min(v, cap)
+        assert _valuation(n, p, cap) == (w, n // p**w)
+
+    @pytest.mark.parametrize("cap", [0, 1, 5, 100])
+    def test_valuation_divides_by_no_power_past_its_cap(self, cap):
+        # N = 3**20000: a valuation capped at f costs O(log f) divisions by
+        # powers of at most 3**f, not O(log 20000) up to 3**16384
+        divisors = []
+        divmod_ = exact._divmod
+
+        def counted(a, b):
+            divisors.append(b)
+            return divmod_(a, b)
+
+        with mock.patch.object(exact, "_divmod", counted):
+            assert _valuation(3**20000, 3, cap) == (cap, 3 ** (20000 - cap))
+        assert all(b <= 3**cap for b in divisors)
 
     @given(
         st.integers(0, 2**64),
@@ -583,13 +622,25 @@ class TestDigitKernel:
         assert _digits_of_int(n, b, len(digits) + 5) == [0] * 5 + digits
 
     def test_split_scales_subquadratically(self):
-        # 3x the digits: quadratic division took about 9x the time, the
-        # recursive one about 4.5x.  A ratio of interleaved best-of-3
-        # timings, not a deadline, as the host's speed drifts
+        # the builtin divmod is quadratic through CPython 3.11, so the split
+        # may hand it no division whose divisor and quotient both pass
+        # _DIV_BITS: those go to `_divmod`'s recursive division.  A count of
+        # the builtin calls, which does not depend on the host's speed
+        calls = []
+
+        def counted(a, b):
+            q, r = divmod(a, b)
+            calls.append((b.bit_length(), q.bit_length()))
+            return q, r
+
         rng = random.Random(150)
-        values = [rng.randrange(60 ** (n - 1), 60**n) for n in (50_000, 150_000)]
-        small, large = _best_of(*[lambda v=v: _digits_of_int(v) for v in values], rounds=3)
-        assert large < 6 * small, (small, large)
+        n = rng.randrange(60 ** (50_000 - 1), 60**50_000)
+        with mock.patch.object(exact, "divmod", counted, create=True):
+            digits = _digits_of_int(n)
+        assert _int_of_digits(digits) == n
+        assert calls  # the split reached the builtin through `_divmod`
+        wide = [(b, q) for b, q in calls if b > _DIV_BITS and q > _DIV_BITS]
+        assert not wide, wide[:3]
 
     def test_round_trip_10k_sexagesits(self):
         rng = random.Random(10_000)
