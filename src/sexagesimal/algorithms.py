@@ -15,6 +15,7 @@ from .exact import (
     BASE,
     Rational,
     SexNumber,
+    _coprime_fraction,
     _diff_digits,
     _Record,
     _round_to,
@@ -28,13 +29,14 @@ from .glyphs import GlyphError, _read_tsv, decode_glyphs
 # `heron_sqrt` keeps its iterates exact, so each step about doubles their
 # size, and a start far from the root would cost time without limit.  It
 # refuses to step from an iterate whose numerator and denominator together
-# pass this many bits, where one step costs seconds.  Iterates from a start
-# within a thousandfold of the root, at up to 8 sexagesits, stay below half
-# of it.
+# pass this many bits, where one step costs about 0.2 s (CPython 3.11).
+# Iterates from a start within a thousandfold of the root, at up to 8
+# sexagesits, stay below half of it.
 HERON_OPERAND_BITS = 2**21
 
-# `nontrivial_divisors` finds divisors by trial division up to sqrt(n), so it
-# refuses n above this bound: at most 10**6 divisions
+# `nontrivial_divisors` factors n by trial division over 2, 3, 5 and the
+# integers coprime to 30 up to sqrt(n), so it refuses n above this bound: at
+# most 266,668 trial divisors, for a prime n
 DIVISORS_BOUND = 10**12
 
 # interpretations of the tablet's ratio column
@@ -124,6 +126,15 @@ def heron_sqrt(
     least k >= 1 such that x * 60**(2k) >= 60**2: a root of at least two
     sexagesits, so the start is within one sexagesit of sqrt(x).  An
     iterate past `HERON_OPERAND_BITS` before convergence is a `DomainError`.
+
+    The step runs in integers (Henrici's method, Knuth TAOCP vol. 2,
+    4.5.1).  With x = A/B and the iterate p/q, both in lowest terms, the next
+    iterate is (Bp^2 + Aq^2) / 2Bpq and it differs from p/q by
+    (Aq^2 - Bp^2) / 2Bpq, so the stopping test needs no division.  A prime
+    common to that numerator and denominator divides 2AB, so every gcd is
+    taken against A, B or a divisor of 2AB, never between two iterates:
+    with gA = gcd(A, p) and gB = gcd(B, q) divided out of the factors before
+    they are multiplied, the common primes left divide 2 * gcd(gB, B/gB).
     """
     x = Fraction(x)
     if x <= 0:
@@ -140,16 +151,28 @@ def heron_sqrt(
         cur = Fraction(start)
         if cur <= 0:
             raise DomainError("starting guess must be positive")
-    eps = Fraction(1, 60**precision)
-    iterations, residual = 0, eps
-    while residual >= eps:
-        if cur.numerator.bit_length() + cur.denominator.bit_length() > HERON_OPERAND_BITS:
+    a, b = x.numerator, x.denominator
+    p, q = cur.numerator, cur.denominator
+    scale = BASE**precision
+    iterations = 0
+    while True:
+        if p.bit_length() + q.bit_length() > HERON_OPERAND_BITS:
             raise DomainError(f"iterate passed {HERON_OPERAND_BITS} bits (HERON_OPERAND_BITS) before converging")
-        nxt = (cur + x / cur) / 2
-        residual = abs(nxt - cur)
-        cur = nxt
+        # Bp^2, Aq^2 and 2Bpq, each divided by gA * gB
+        ga, gb = math.gcd(a, p), math.gcd(b, q)
+        a1, b1, p1, q1 = a // ga, b // gb, p // ga, q // gb
+        bpp, aqq = ga * b1 * p1 * p1, gb * a1 * q1 * q1
+        den = 2 * b * p1 * q1
+        common = 2 * math.gcd(gb, b1)
         iterations += 1
-    number = _round_to(cur, precision)
+        if abs(aqq - bpp) * scale < den:
+            break
+        p, q = _lowest_terms(bpp + aqq, den, common)
+    if aqq == bpp:
+        residual = Fraction(0)
+    else:
+        residual = _coprime_fraction(*_lowest_terms(abs(aqq - bpp), den, common))
+    number = _round_to(_coprime_fraction(*_lowest_terms(bpp + aqq, den, common)), precision)
     if number.is_zero:
         value = SexFloat.zero(precision)
     else:
@@ -158,33 +181,65 @@ def heron_sqrt(
     return HeronResult(value=value, iterations=iterations, residual=residual)
 
 
+def _lowest_terms(n: int, d: int, common: int) -> tuple[int, int]:
+    """n/d in lowest terms, for n and d whose common primes all divide
+    ``common``.  Each gcd has ``common`` or one of its divisors as an
+    argument, so for a short ``common`` it costs time linear in n and d.  A
+    prime may divide n and d to a higher power than it divides ``common``,
+    so the gcds repeat until they reach 1."""
+    g = math.gcd(math.gcd(common, n), d)
+    while g > 1:
+        n //= g
+        d //= g
+        g = math.gcd(math.gcd(g, n), d)
+    return n, d
+
+
 def heron_area(a: Rational, b: Rational, c: Rational, precision: int = 8) -> SexFloat:
     """Triangle area from the three sides: sqrt(s(s-a)(s-b)(s-c)) with s the
-    semiperimeter, the radicand exact and the root via `heron_sqrt`."""
+    semiperimeter, the radicand exact and the root via `heron_sqrt`.  Over
+    the sides' common denominator L the radicand is
+    (a+b+c)(b+c-a)(a+c-b)(a+b-c) / 16L^4, one product of integers."""
     a, b, c = Fraction(a), Fraction(b), Fraction(c)
     if min(a, b, c) <= 0:
         raise DomainError("sides must be positive")
-    s = (a + b + c) / 2
-    radicand = s * (s - a) * (s - b) * (s - c)
-    if radicand <= 0:
+    common = math.lcm(a.denominator, b.denominator, c.denominator)
+    a, b, c = (side.numerator * (common // side.denominator) for side in (a, b, c))
+    product = (a + b + c) * (b + c - a) * (a + c - b) * (a + b - c)
+    if product <= 0:
         raise DomainError("degenerate or impossible triangle")
-    return heron_sqrt(radicand, precision=precision).value
+    return heron_sqrt(Fraction(product, 16 * common**4), precision=precision).value
+
+
+# steps from 2 to 3, 5 and 7, then the gaps between the integers coprime to
+# 30 (7, 11, 13, 17, 19, 23, 29, 31, 37, ...), which repeat from index 3
+_WHEEL = (1, 2, 2, 4, 2, 4, 2, 4, 6, 2, 6)
 
 
 def nontrivial_divisors(n: int) -> list[int]:
     """All divisors d of n with 1 < d < n, ascending, for 2 <= n <=
-    `DIVISORS_BOUND`."""
+    `DIVISORS_BOUND`: n is factored over 2, 3, 5 and then the integers
+    coprime to 30 up to the square root of the cofactor left, and the
+    divisors are built from its prime powers."""
     if n < 2:
         raise DomainError("n must be at least 2")
     if n > DIVISORS_BOUND:
         raise DomainError(f"n must be at most {DIVISORS_BOUND} (divisors are found by trial division)")
-    small, large = [], []
-    for d in range(2, math.isqrt(n) + 1):
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-    return small + large[::-1]
+    divisors, rest = [1], n
+    p, i = 2, 0
+    while p * p <= rest:
+        if rest % p == 0:
+            e = 0
+            while rest % p == 0:
+                rest //= p
+                e += 1
+            divisors = [d * p**k for d in divisors for k in range(e + 1)]
+        p += _WHEEL[i]
+        i = i + 1 if i < 10 else 3
+    if rest > 1:
+        divisors += [d * rest for d in divisors]
+    divisors.sort()
+    return divisors[1:-1]
 
 
 def is_regular(n: int) -> Regularity:

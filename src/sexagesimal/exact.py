@@ -621,14 +621,20 @@ def _valuation(n: int, p: int, cap: int) -> tuple[int, int]:
     """(v, n // p**v) for the largest v <= cap with p**v | n, found by
     dividing out p**(2**j) from the largest j down: O(log v) big divisions
     for the v it returns, not v.  They take `_divmod`, so they are
-    subquadratic also where the builtin is not."""
-    powers = []
+    subquadratic also where the builtin is not.  The squaring loop's last
+    quotient is the first step down, so no power divides n twice."""
+    powers, top = [], n
     q = p
-    while 1 << len(powers) <= cap and _divmod(n, q)[1] == 0:
+    while 1 << len(powers) <= cap:
+        quotient, r = _divmod(n, q)
+        if r:
+            break
         powers.append(q)
+        top = quotient
         q *= q
-    v = 0
-    for j in reversed(range(len(powers))):
+    v = (1 << len(powers)) >> 1
+    n = top
+    for j in reversed(range(len(powers) - 1)):
         if v + (1 << j) <= cap:
             quotient, r = _divmod(n, powers[j])
             if r == 0:

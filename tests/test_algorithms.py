@@ -1,6 +1,7 @@
 """Heron iteration, divisor analysis, triples, and the table reconstruction."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,8 @@ from sexagesimal import (
     reconstruct_table,
     triple_from_generators,
 )
-from sexagesimal.algorithms import RATIO_SHORT
+from sexagesimal.algorithms import RATIO_SHORT, HeronResult
+from sexagesimal.floating import SexFloat
 
 
 def _digits60(n):
@@ -165,6 +167,104 @@ class TestHeronSqrt:
         assert int(iterations) <= max_iterations
 
 
+def _fraction_heron(x, cur, precision):
+    # the exact-`Fraction` loop of earlier versions, a full gcd per operation;
+    # returns the result and the bit sizes of the iterates it stepped from
+    eps = Fraction(1, 60**precision)
+    iterations, residual, sizes = 0, eps, []
+    while residual >= eps:
+        sizes.append(cur.numerator.bit_length() + cur.denominator.bit_length())
+        if sizes[-1] > algorithms.HERON_OPERAND_BITS:
+            raise DomainError(f"iterate passed {algorithms.HERON_OPERAND_BITS} bits (HERON_OPERAND_BITS) before converging")
+        nxt = (cur + x / cur) / 2
+        residual = abs(nxt - cur)
+        cur = nxt
+        iterations += 1
+    number = exact._round_to(cur, precision)
+    if number.is_zero:
+        value = SexFloat.zero(precision)
+    else:
+        int_width = 0 if number.int_digits == (0,) else len(number.int_digits)
+        value = SexFloat.from_sex_number(number, precision=int_width + precision)
+    return HeronResult(value=value, iterations=iterations, residual=residual), sizes
+
+
+class TestHeronAgainstFractionLoop:
+    @staticmethod
+    def _cases(seed, count):
+        rng = random.Random(seed)
+        for _ in range(count):
+            x = Fraction(rng.randrange(1, 10 ** rng.randrange(1, 6)), rng.randrange(1, 10 ** rng.randrange(1, 4)))
+            # explicit starts within a few hundredfold of the root, where the
+            # reference loop stays fast
+            near = Fraction(math.isqrt(x.numerator * 3600 // x.denominator) + 1, 60)
+            start = rng.choice([None, Fraction(1), x, near * Fraction(rng.randrange(1, 30), rng.randrange(1, 30))])
+            yield x, start, rng.randrange(1, 13)
+
+    def test_results_equal(self):
+        for x, start, precision in self._cases(1, 500):
+            expected, _ = _fraction_heron(x, _documented_start(x) if start is None else start, precision)
+            result = heron_sqrt(x, start, precision)
+            assert result == expected, (x, start, precision)
+            # equal as values and in lowest terms, as the benchmark reads it
+            assert result.residual.denominator == expected.residual.denominator
+
+    def test_prime_powers_shared_with_the_iterate(self):
+        # A, B and the start share powers of 2, 3 and 5, so gcd(A, p) and
+        # gcd(B, q) leave cofactors with common primes to reduce
+        rng = random.Random(4)
+        for _ in range(200):
+            x = Fraction(2 ** rng.randrange(8) * 3 ** rng.randrange(8) * rng.choice([1, 7, 11]),
+                         5 ** rng.randrange(6) * 2 ** rng.randrange(6) * rng.choice([1, 3, 13]))
+            start = _documented_start(x) * Fraction(2 ** rng.randrange(4) * 3 ** rng.randrange(3), 5 ** rng.randrange(3))
+            precision = rng.randrange(1, 17)
+            expected, _ = _fraction_heron(x, start, precision)
+            assert heron_sqrt(x, start, precision) == expected, (x, start, precision)
+
+    def test_wide_operands(self):
+        # x = A/B of hundreds of bits, where the gcds against 2AB are long
+        rng = random.Random(3)
+        for _ in range(20):
+            x = Fraction(rng.getrandbits(rng.randrange(1, 400)) + 1, rng.getrandbits(rng.randrange(1, 300)) + 1)
+            precision = rng.randrange(1, 33)
+            expected, _ = _fraction_heron(x, _documented_start(x), precision)
+            assert heron_sqrt(x, precision=precision) == expected, (x, precision)
+
+    def test_operand_bound_stops_at_the_same_iterate(self, monkeypatch):
+        # with the bound at the largest iterate the loop steps from, both
+        # finish; one bit below it, both refuse that same iterate
+        for x, start, precision in self._cases(2, 100):
+            monkeypatch.undo()
+            start = _documented_start(x) if start is None else start
+            expected, sizes = _fraction_heron(x, start, precision)
+            monkeypatch.setattr(algorithms, "HERON_OPERAND_BITS", max(sizes))
+            assert heron_sqrt(x, start, precision) == expected
+            monkeypatch.setattr(algorithms, "HERON_OPERAND_BITS", max(sizes) - 1)
+            with pytest.raises(DomainError) as raised:
+                _fraction_heron(x, start, precision)
+            with pytest.raises(DomainError) as caught:
+                heron_sqrt(x, start, precision)
+            assert str(caught.value) == str(raised.value)
+
+    def test_far_start_reduces_by_gcds_against_2ab_only(self, monkeypatch):
+        # x = 2 = A/B: every gcd of the iteration has an argument of at most
+        # bits(2AB) + 1 bits.  Full gcds of the 2M-bit iterates here took
+        # about 4 of the `Fraction` loop's 5.5 s on CPython 3.11.
+        widths = []
+        gcd = math.gcd
+
+        def counted(*args):
+            widths.append(min(arg.bit_length() for arg in args))
+            return gcd(*args)
+
+        monkeypatch.setattr(math, "gcd", counted)
+        with pytest.raises(DomainError, match="HERON_OPERAND_BITS"):
+            heron_sqrt(2, start=10**6, precision=64)
+        monkeypatch.undo()
+        assert widths
+        assert max(widths) <= (2 * 2 * 1).bit_length() + 1
+
+
 def _documented_start(a):
     # isqrt(floor(a)) for a >= 1; below 1, the least k >= 1 with
     # a * 60^(2k) >= 60^2 and isqrt(floor(a * 60^(2k))) / 60^k
@@ -209,6 +309,89 @@ class TestHeronArea:
         assert heron_area(13, 14, 15).to_rational() == 84
 
 
+def _semiperimeter_area(a, b, c, precision):
+    # the radicand of earlier versions: s(s-a)(s-b)(s-c) in `Fraction`s
+    a, b, c = Fraction(a), Fraction(b), Fraction(c)
+    if min(a, b, c) <= 0:
+        raise DomainError("sides must be positive")
+    s = (a + b + c) / 2
+    radicand = s * (s - a) * (s - b) * (s - c)
+    if radicand <= 0:
+        raise DomainError("degenerate or impossible triangle")
+    return heron_sqrt(radicand, precision=precision).value
+
+
+class TestHeronAreaAgainstSemiperimeter:
+    @pytest.mark.parametrize("denominators", [(1, 1, 1), (2, 3, 7), (12, 1, 60), (1000, 999, 1)])
+    def test_random_sides(self, denominators):
+        rng = random.Random(sum(denominators))
+        for _ in range(100):
+            sides = [Fraction(rng.randrange(-2, 200), den) for den in denominators]
+            precision = rng.randrange(1, 17)
+            try:
+                expected = _semiperimeter_area(*sides, precision)
+            except DomainError as exc:
+                with pytest.raises(DomainError) as caught:
+                    heron_area(*sides, precision)
+                assert str(caught.value) == str(exc)
+            else:
+                assert heron_area(*sides, precision) == expected
+
+    @pytest.mark.parametrize(
+        "sides, message",
+        [
+            ((1, 2, 3), "degenerate or impossible triangle"),
+            ((Fraction(1, 2), Fraction(1, 3), Fraction(5, 6)), "degenerate or impossible triangle"),
+            ((1, 1, 3), "degenerate or impossible triangle"),
+            ((Fraction(1, 7), 1, 3), "degenerate or impossible triangle"),
+            ((0, 4, 5), "sides must be positive"),
+            ((3, -4, 5), "sides must be positive"),
+            ((3, 4, Fraction(-1, 2)), "sides must be positive"),
+            ((0, 1, 3), "sides must be positive"),
+        ],
+    )
+    def test_errors(self, sides, message):
+        with pytest.raises(DomainError) as raised:
+            _semiperimeter_area(*sides, 8)
+        with pytest.raises(DomainError) as caught:
+            heron_area(*sides)
+        assert str(caught.value) == str(raised.value) == message
+
+
+def _trial_divisors(n):
+    # trial division by every d up to sqrt(n), as in earlier versions
+    small, large = [], []
+    for d in range(2, math.isqrt(n) + 1):
+        if n % d == 0:
+            small.append(d)
+            if d != n // d:
+                large.append(n // d)
+    return small + large[::-1]
+
+
+class TestDivisorsAgainstTrialDivision:
+    def test_every_n_to_20000(self):
+        for n in range(2, 20001):
+            assert nontrivial_divisors(n) == _trial_divisors(n), n
+
+    @pytest.mark.parametrize(
+        "n",
+        [
+            4, 9, 25, 49, 121, 997**2, 999983**2,  # prime squares
+            997**2 * 1009, 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31,
+            999999999989, 999999999959, 999999999961,  # primes near 10**12
+            999999999989 - 1, 999999999989 + 1, algorithms.DIVISORS_BOUND,
+        ],
+    )
+    def test_large(self, n):
+        assert nontrivial_divisors(n) == _trial_divisors(n)
+
+    def test_over_bound_message(self):
+        with pytest.raises(DomainError) as caught:
+            nontrivial_divisors(algorithms.DIVISORS_BOUND + 1)
+        assert str(caught.value) == "n must be at most 1000000000000 (divisors are found by trial division)"
+
+
 class TestDivisors:
     def test_base_ten(self):
         assert nontrivial_divisors(10) == [2, 5]
@@ -224,7 +407,7 @@ class TestDivisors:
             nontrivial_divisors(1)
 
     def test_bound(self):
-        # 10**12 = 2**12 * 5**12 has 13 * 13 divisors, found in 10**6 steps
+        # 10**12 = 2**12 * 5**12 has 13 * 13 divisors, found by 2 and 5 alone
         assert len(nontrivial_divisors(algorithms.DIVISORS_BOUND)) == 13 * 13 - 2
         with pytest.raises(DomainError, match="^n must be at most 1000000000000 "):
             nontrivial_divisors(algorithms.DIVISORS_BOUND + 1)

@@ -461,6 +461,39 @@ class TestFromSexagesimal:
             assert _valuation(3**20000, 3, cap) == (cap, 3 ** (20000 - cap))
         assert all(b <= 3**cap for b in divisors)
 
+    def test_valuation_divides_by_its_top_power_once(self):
+        # the squaring loop's last successful division by 3**(2**17) is the
+        # descent's first step; the earlier loop below repeated it
+        def reference(n, p, cap):
+            powers = []
+            q = p
+            while 1 << len(powers) <= cap and exact._divmod(n, q)[1] == 0:
+                powers.append(q)
+                q *= q
+            v = 0
+            for j in reversed(range(len(powers))):
+                if v + (1 << j) <= cap:
+                    quotient, r = exact._divmod(n, powers[j])
+                    if r == 0:
+                        n = quotient
+                        v += 1 << j
+            return v, n
+
+        n = 3**200000 * 7
+        counts = []
+        divmod_ = exact._divmod
+
+        def counted(a, b):
+            counts[-1] += 1
+            return divmod_(a, b)
+
+        with mock.patch.object(exact, "_divmod", counted):
+            counts.append(0)
+            expected = reference(n, 3, 10**6)
+            counts.append(0)
+            assert _valuation(n, 3, 10**6) == expected == (200000, 7)
+        assert counts == [37, 36]
+
     @given(
         st.integers(0, 2**64),
         st.integers(_DC_BITS - 40, _DC_BITS + 200),
