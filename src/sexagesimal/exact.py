@@ -10,6 +10,7 @@ Canonical base-60 text writes sexagesits as decimal numbers separated by
 """
 
 import math
+import re
 import sys
 from fractions import Fraction
 from itertools import zip_longest
@@ -69,6 +70,11 @@ _FOLD_DIGITS = 128
 _FOLD_LEAF = 64
 
 
+# a decimal literal as `parse_decimal` reads it; [0-9], since \d would take
+# other Unicode digits
+_DECIMAL = re.compile(r"(-?)([0-9]*)(?:(\.)([0-9]*))?(?:([eE])(-?)([0-9]*))?")
+
+
 class DecimalParseError(ParseError):
     origin = "exact"  # the module a diagnostic names
 
@@ -78,62 +84,40 @@ def parse_decimal(text: str) -> Fraction:
 
     No binary float is ever constructed; ``"5.95374180765127242e-15"`` comes
     back as the literal fraction over a power of ten.
+
+    The literal is read by one match of `_DECIMAL`, and every diagnostic
+    comes from that match: an empty digit run or the first character past
+    its end.  The checks run in the order a left-to-right read meets them,
+    so an over-long exponent is reported before a trailing character and
+    that before an over-long mantissa.
     """
-    s = text
-    n = len(s)
-    i = 0
-
-    def fail(msg: str, pos: int):
-        raise DecimalParseError(f"{msg} at position {pos}: {quote(text)}", position=pos)
-
-    if n == 0:
-        fail("empty decimal literal", 1)
-    sign = 1
-    if s[i] == "-":
-        sign = -1
-        i += 1
-
-    def scan_digits(what: str) -> str:
-        nonlocal i
-        start = i
-        while i < n and s[i] in _ASCII_DIGITS:
-            i += 1
-        if i == start:
-            fail(f"expected {what}", i + 1)
-        return s[start:i]
-
-    def to_int(digits: str, pos: int) -> int:
-        try:
-            return int(digits)
-        except ValueError:  # ASCII digits fail only CPython's int-string limit
-            fail(f"{len(digits)} digits exceed the int-string limit of {sys.get_int_max_str_digits()}", pos)
-
-    digits_at = i + 1
-    int_part = scan_digits("digit")
-    frac_part = ""
-    if i < n and s[i] == ".":
-        i += 1
-        frac_part = scan_digits("digit after '.'")
-    exp = 0
-    if i < n and s[i] in "eE":
-        i += 1
-        exp_sign = 1
-        if i < n and s[i] == "-":
-            exp_sign = -1
-            i += 1
-        exp_at = i + 1
-        exp = exp_sign * to_int(scan_digits("exponent digit"), exp_at)
-    if i != n:
-        fail(f"unexpected character {s[i]!r}", i + 1)
-
-    value = Fraction(to_int(int_part + frac_part, digits_at), 10 ** len(frac_part))
-    if exp:
+    m = _DECIMAL.match(text)
+    sign, int_part, point, frac_part, e, exp_sign, exp_part = m.groups("")
+    digits = int_part + frac_part
+    # CPython's int-string limit counts every digit, leading zeros too; 0 is none
+    limit = sys.get_int_max_str_digits()
+    if not int_part:
+        fault = "expected digit" if text else "empty decimal literal", m.end(2)
+    elif point and not frac_part:
+        fault = "expected digit after '.'", m.end(4)
+    elif e and not exp_part:
+        fault = "expected exponent digit", m.end(7)
+    elif limit and len(exp_part) > limit:
+        fault = f"{len(exp_part)} digits exceed the int-string limit of {limit}", m.start(7)
+    elif m.end() < len(text):
+        fault = f"unexpected character {text[m.end()]!r}", m.end()
+    elif limit and len(digits) > limit:
+        fault = f"{len(digits)} digits exceed the int-string limit of {limit}", m.start(2)
+    else:
+        exp = int(exp_sign + exp_part) if e else 0
         # 10**|exp| has |exp| + 1 digits, so the same limit bounds its cost
-        limit = sys.get_int_max_str_digits()
-        if limit and abs(exp) > limit:
-            fail(f"exponent {exp} exceeds the int-string limit of {limit}", exp_at)
-        value *= Fraction(10) ** exp
-    return sign * value
+        if not limit or abs(exp) <= limit:
+            mantissa = int(sign + digits)
+            scale = exp - len(frac_part)
+            return Fraction(mantissa * 10**scale) if scale >= 0 else Fraction(mantissa, 10**-scale)
+        fault = f"exponent {exp} exceeds the int-string limit of {limit}", m.start(7)
+    message, at = fault
+    raise DecimalParseError(f"{message} at position {at + 1}: {quote(text)}", position=at + 1)
 
 
 def arith(op: str, x: Fraction, y: Fraction) -> Fraction:
@@ -419,6 +403,18 @@ class _Record:
         return f"{type(self).__qualname__}({fields})"
 
 
+def _check_sexagesits(raw, digits: tuple) -> None:
+    """Refuse a digit that is no int in 0..59.  ``digits`` is the nonempty
+    tuple of ``raw``; as `bytes` or `bytearray`, ``raw`` is checked by one
+    C-level ``max``, else digit by digit."""
+    if raw is digits or raw.__class__ not in (bytes, bytearray):  # a tuple costs one test
+        for d in digits:
+            if not (isinstance(d, int) and 0 <= d < BASE):
+                raise ValueError(f"sexagesit out of range: {d!r}")
+    elif max(raw) >= BASE:
+        raise ValueError(f"sexagesit out of range: {next(d for d in raw if d >= BASE)!r}")
+
+
 class SexNumber(_Record):
     """A base-60 positional numeral: sign, digits (most significant first),
     and how many of those digits lie right of the radix point.
@@ -444,12 +440,7 @@ class SexNumber(_Record):
             raise ValueError(f"sign must be -1, 0 or 1, not {sign!r}")
         if not digits:
             raise ValueError("digit sequence is empty")
-        if raw is digits or raw.__class__ not in (bytes, bytearray):  # a tuple costs one test
-            for d in digits:
-                if not (isinstance(d, int) and 0 <= d < BASE):
-                    raise ValueError(f"sexagesit out of range: {d!r}")
-        elif max(raw) >= BASE:
-            raise ValueError(f"sexagesit out of range: {next(d for d in raw if d >= BASE)!r}")
+        _check_sexagesits(raw, digits)
         if not 0 <= frac_count <= len(digits):
             raise ValueError("frac_count out of range")
         if sign == 0:

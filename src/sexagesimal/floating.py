@@ -15,11 +15,12 @@ from .exact import (
     TRUNC,
     SexNumber,
     _check_mode,
+    _check_sexagesits,
     _digits_of_int,
-    _int_of_digits,
     _Record,
     _round_quotient,
     _setattr,
+    from_sexagesimal,
 )
 
 
@@ -29,6 +30,8 @@ class SexFloat(_Record):
     exponent: int
 
     def __init__(self, sign: int, mantissa: tuple[int, ...], exponent: int):
+        """``mantissa`` may be any sequence of ints, checked as `SexNumber` checks digits."""
+        raw = mantissa
         mantissa = tuple(mantissa)
         _setattr(self, "sign", sign)
         _setattr(self, "mantissa", mantissa)
@@ -37,9 +40,7 @@ class SexFloat(_Record):
             raise ValueError(f"sign must be -1, 0 or 1, not {sign!r}")
         if not mantissa:
             raise ValueError("mantissa is empty")
-        for d in mantissa:
-            if not (isinstance(d, int) and 0 <= d < BASE):
-                raise ValueError(f"sexagesit out of range: {d!r}")
+        _check_sexagesits(raw, mantissa)
         if sign == 0:
             if any(mantissa) or exponent != 0:
                 raise ValueError("zero must have an all-zero mantissa and exponent 0")
@@ -55,37 +56,26 @@ class SexFloat(_Record):
         return len(self.mantissa)
 
     def to_rational(self) -> Fraction:
-        value = Fraction(self.sign * _int_of_digits(self.mantissa), BASE**self.precision)
-        return value * Fraction(BASE) ** self.exponent
+        return from_sexagesimal(self.to_sex_number())
 
     def to_sex_number(self) -> SexNumber:
         """Lay the mantissa out positionally (exact; trailing zeros dropped)."""
-        if self.sign == 0:
-            return SexNumber(0, (0,), 0)
-        digits = list(self.mantissa)
-        frac_count = self.precision - self.exponent
-        if frac_count < 0:
-            digits += [0] * -frac_count
-            frac_count = 0
-        return SexNumber.from_digits(self.sign, digits, frac_count)
+        digits = bytes(self.mantissa).ljust(self.exponent, b"\0")  # zeros up to the radix point
+        return SexNumber.from_digits(self.sign, digits, len(digits) - self.exponent)
 
     @classmethod
     def from_sex_number(cls, x: SexNumber, precision: int | None = None) -> "SexFloat":
         """Exact conversion; optionally zero-pad the mantissa to ``precision``."""
         if x.is_zero:
             return cls.zero(precision or 1)
-        digits = list(x.digits)
-        exponent = len(x.int_digits)
-        while digits and digits[0] == 0:
-            digits.pop(0)
-            exponent -= 1
-        while digits and digits[-1] == 0:
-            digits.pop()
+        digits = bytes(x.digits).lstrip(b"\0")
+        exponent = len(digits) - x.frac_count
+        digits = digits.rstrip(b"\0")
         if precision is not None:
             if len(digits) > precision:
                 raise DomainError(f"{len(digits)} significant sexagesits do not fit precision {precision}")
-            digits += [0] * (precision - len(digits))
-        return cls(x.sign, tuple(digits), exponent)
+            digits = digits.ljust(precision, b"\0")
+        return cls(x.sign, digits, exponent)
 
     def __str__(self) -> str:
         return self.to_sex_number().canonical_text()
@@ -142,7 +132,7 @@ def normalize_float(x: Fraction, precision: int, mode: str = TRUNC) -> SexFloat:
     if m == BASE**precision:
         m //= BASE
         e += 1
-    return SexFloat(1 if x > 0 else -1, tuple(_digits_of_int(m, width=precision)), e)
+    return SexFloat(1 if x > 0 else -1, bytes(_digits_of_int(m, width=precision)), e)
 
 
 def machine_epsilon(precision: int) -> Fraction:

@@ -1,5 +1,7 @@
 """Rational parsing/arithmetic and exact base-60 / base-10 expansion."""
 
+import contextlib
+import itertools
 import math
 import random
 import sys
@@ -13,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import nonzero_rationals, rationals, run_python, sex_numbers
 from sexagesimal import exact
+from sexagesimal.errors import quote
 from sexagesimal.exact import (
     ROUNDING_MODES,
     _DC_BITS,
@@ -100,6 +103,139 @@ class TestParseDecimal:
             parse_decimal(text)
         assert err.value.position == 2
         assert str(err.value) == "unexpected character 'x' at position 2: '1x" + "1" * 38 + "'... (5002 characters)"
+
+
+def _reference_parse_decimal(text: str) -> Fraction:
+    """The character scanner that `parse_decimal` replaced, kept as the
+    oracle of its values, messages and positions."""
+    s = text
+    n = len(s)
+    i = 0
+
+    def fail(msg: str, pos: int):
+        raise exact.DecimalParseError(f"{msg} at position {pos}: {quote(text)}", position=pos)
+
+    if n == 0:
+        fail("empty decimal literal", 1)
+    sign = 1
+    if s[i] == "-":
+        sign = -1
+        i += 1
+
+    def scan_digits(what: str) -> str:
+        nonlocal i
+        start = i
+        while i < n and s[i] in "0123456789":
+            i += 1
+        if i == start:
+            fail(f"expected {what}", i + 1)
+        return s[start:i]
+
+    def to_int(digits: str, pos: int) -> int:
+        try:
+            return int(digits)
+        except ValueError:  # ASCII digits fail only CPython's int-string limit
+            fail(f"{len(digits)} digits exceed the int-string limit of {sys.get_int_max_str_digits()}", pos)
+
+    digits_at = i + 1
+    int_part = scan_digits("digit")
+    frac_part = ""
+    if i < n and s[i] == ".":
+        i += 1
+        frac_part = scan_digits("digit after '.'")
+    exp = 0
+    if i < n and s[i] in "eE":
+        i += 1
+        exp_sign = 1
+        if i < n and s[i] == "-":
+            exp_sign = -1
+            i += 1
+        exp_at = i + 1
+        exp = exp_sign * to_int(scan_digits("exponent digit"), exp_at)
+    if i != n:
+        fail(f"unexpected character {s[i]!r}", i + 1)
+
+    value = Fraction(to_int(int_part + frac_part, digits_at), 10 ** len(frac_part))
+    if exp:
+        limit = sys.get_int_max_str_digits()
+        if limit and abs(exp) > limit:
+            fail(f"exponent {exp} exceeds the int-string limit of {limit}", exp_at)
+        value *= Fraction(10) ** exp
+    return sign * value
+
+
+def _parse_outcome(parse, text):
+    """The value, or the error's type, message and position."""
+    try:
+        return parse(text)
+    except ParseError as err:
+        return type(err), str(err), err.position
+
+
+@contextlib.contextmanager
+def _int_max_str_digits(limit):
+    """CPython's int-string limit set to ``limit`` (None: left as it is),
+    and restored afterwards."""
+    saved = sys.get_int_max_str_digits()
+    if limit is not None:
+        sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+# the limit in force, the least CPython accepts, and none
+_STR_DIGIT_LIMITS = [None, 640, 0]
+
+
+class TestParseDecimalAgainstScanner:
+    """`parse_decimal` gives the character scanner's value, or its error
+    message and position, on every text."""
+
+    @staticmethod
+    def _check(texts):
+        for text in texts:
+            assert _parse_outcome(parse_decimal, text) == _parse_outcome(_reference_parse_decimal, text), text
+
+    @pytest.mark.parametrize("limit", _STR_DIGIT_LIMITS)
+    def test_every_short_text(self, limit):
+        alphabet = "01.-eE x\u0663"
+        with _int_max_str_digits(limit):
+            self._check("".join(t) for n in range(6) for t in itertools.product(alphabet, repeat=n))
+
+    @pytest.mark.parametrize("limit", _STR_DIGIT_LIMITS)
+    @given(
+        st.one_of(
+            st.text(alphabet="0123456789.-eE x\u0663+", max_size=40),
+            st.from_regex(r"-?[0-9]{0,20}(\.[0-9]{0,20})?([eE]-?[0-9]{0,4})?.?", fullmatch=True),
+            st.text(max_size=12),
+        )
+    )
+    def test_random_texts(self, limit, text):
+        with _int_max_str_digits(limit):
+            self._check([text])
+
+    @pytest.mark.parametrize("limit", _STR_DIGIT_LIMITS)
+    def test_around_the_int_string_limit(self, limit):
+        with _int_max_str_digits(limit):
+            size = sys.get_int_max_str_digits() or 4300  # with no limit, the default's sizes
+            texts = []
+            for k in (size - 1, size, size + 1):
+                # k-digit exponents of value 7 and 0: no limit leaves a
+                # larger one's power of ten to compute
+                exps = ["0" * (k - 1) + "7", "-" + "0" * k]
+                for tail in ("", "x", ".", "e", "-"):
+                    texts += ["7" * k + tail, "-0." + "3" * k + tail, *(f"2.5e{e}{tail}" for e in exps)]
+                texts += [f"1e{k}", f"1e-{k}", f"-3.25E{k}", f"0e-{k}x"]
+            self._check(texts)
+        # an over-long exponent is reported before a trailing character, and
+        # that before an over-long mantissa
+        with _int_max_str_digits(4300):
+            for text, position in (("1e" + "9" * 5000 + "x", 3), ("9" * 5000 + "x", 5001)):
+                with pytest.raises(ParseError) as err:
+                    parse_decimal(text)
+                assert err.value.position == position
 
 
 class TestArith:

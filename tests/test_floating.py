@@ -6,13 +6,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import nonzero_rationals
+from conftest import nonzero_rationals, run_python, sex_numbers
 from sexagesimal import (
     HALF_UP,
     TRUNC,
     DomainError,
     SexFloat,
     SexNumber,
+    from_sexagesimal,
     machine_epsilon,
     normalize_float,
     to_decimal,
@@ -155,11 +156,40 @@ class TestSexFloatConversions:
         with pytest.raises(DomainError):
             SexFloat.from_sex_number(SexNumber(1, (1, 2, 3), 0), precision=2)
 
+    @given(sex_numbers(), st.integers(0, 4))
+    def test_round_trip_keeps_the_value(self, x, pad):
+        f = SexFloat.from_sex_number(x)
+        assert f.to_sex_number() == x
+        assert f.to_rational() == from_sexagesimal(x)
+        padded = SexFloat.from_sex_number(x, precision=f.precision + pad)
+        assert padded.mantissa == f.mantissa + (0,) * pad and padded.to_sex_number() == x
+        # the positional value of mantissa and exponent, digit by digit
+        value = sum(Fraction(d, 60**i) for i, d in enumerate(f.mantissa, 1)) * Fraction(60) ** f.exponent
+        assert f.to_rational() == f.sign * value
+
+    def test_from_sex_number_within_deadline(self):
+        # dropping 3 * 10**5 leading zeros one list.pop(0) at a time took
+        # about 9 s; 10**5 took 1 s
+        code = (
+            "from fractions import Fraction\n"
+            "from sexagesimal import SexFloat, SexNumber\n"
+            "x = SexNumber(1, bytes(300001) + b'\\x07', 300001)\n"
+            "f = SexFloat.from_sex_number(x)\n"
+            "print(f.mantissa, f.exponent, f.to_sex_number() == x, f.to_rational() == Fraction(7, 60**300001))\n"
+        )
+        proc = run_python(["-c", code], timeout=5)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["(7,)", "-300000", "True", "True"]
+
     def test_validation(self):
         with pytest.raises(ValueError):
             SexFloat(1, (0, 1), 0)  # unnormalized
         with pytest.raises(ValueError):
             SexFloat(0, (1, 0), 0)  # zero sign with nonzero mantissa
+        # one range check and message for digits of any sequence type
+        for mantissa in ((1, 60), b"\x01\x3c", bytearray(b"\x01\x3c"), [1, 60]):
+            with pytest.raises(ValueError, match="sexagesit out of range: 60"):
+                SexFloat(1, mantissa, 0)
 
 
 class TestMachineEpsilon:
