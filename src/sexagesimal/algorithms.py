@@ -16,11 +16,14 @@ from .exact import (
     Rational,
     SexNumber,
     _coprime_fraction,
+    _DC_BITS,
     _diff_digits,
+    _rational,
     _Record,
     _round_to,
     _setattr,
     _split_denominator,
+    _valuation,
     int_sqrt,
 )
 from .floating import SexFloat, _magnitude_exponent
@@ -136,20 +139,20 @@ def heron_sqrt(
     with gA = gcd(A, p) and gB = gcd(B, q) divided out of the factors before
     they are multiplied, the common primes left divide 2 * gcd(gB, B/gB).
     """
-    x = Fraction(x)
-    if x <= 0:
+    x = _rational(x)
+    if x.numerator <= 0:
         raise DomainError("square root requires a positive value")
     if precision < 1:
         raise DomainError("precision must be at least 1")
-    if start is None and x >= 1:
-        cur = Fraction(math.isqrt(int(x)))
+    if start is None and x.numerator >= x.denominator:
+        cur = Fraction(math.isqrt(x.numerator // x.denominator))
     elif start is None:
         # with 60**(e-1) <= x < 60**e, k = ceil((3 - e) / 2)
         scale = BASE ** ((4 - _magnitude_exponent(x)) // 2)
         cur = Fraction(math.isqrt(x.numerator * scale * scale // x.denominator), scale)
     else:
-        cur = Fraction(start)
-        if cur <= 0:
+        cur = _rational(start)
+        if cur.numerator <= 0:
             raise DomainError("starting guess must be positive")
     a, b = x.numerator, x.denominator
     p, q = cur.numerator, cur.denominator
@@ -200,8 +203,8 @@ def heron_area(a: Rational, b: Rational, c: Rational, precision: int = 8) -> Sex
     semiperimeter, the radicand exact and the root via `heron_sqrt`.  Over
     the sides' common denominator L the radicand is
     (a+b+c)(b+c-a)(a+c-b)(a+b-c) / 16L^4, one product of integers."""
-    a, b, c = Fraction(a), Fraction(b), Fraction(c)
-    if min(a, b, c) <= 0:
+    a, b, c = _rational(a), _rational(b), _rational(c)
+    if min(a.numerator, b.numerator, c.numerator) <= 0:
         raise DomainError("sides must be positive")
     common = math.lcm(a.denominator, b.denominator, c.denominator)
     a, b, c = (side.numerator * (common // side.denominator) for side in (a, b, c))
@@ -244,9 +247,19 @@ def nontrivial_divisors(n: int) -> list[int]:
 
 def is_regular(n: int) -> Regularity:
     """Whether n = 2^a * 3^b * 5^c; exactly these denominators give
-    terminating base-60 expansions."""
+    terminating base-60 expansions.
+
+    Up to `_DC_BITS` bits, each prime is divided out one power at a time.
+    Past that, where this is quadratic, as in `_split_denominator`: the
+    power of 2 is n's lowest set bit, and those of 3 and 5 come from
+    `_valuation`'s O(log e) big divisions."""
     if n < 1:
         raise DomainError("n must be at least 1")
+    if n.bit_length() > _DC_BITS:
+        a = (n & -n).bit_length() - 1
+        b, n = _valuation(n >> a, 3, n.bit_length())
+        c, n = _valuation(n, 5, n.bit_length())
+        return Regularity(n == 1, a, b, c, n)
     exps = []
     for p in (2, 3, 5):
         e = 0

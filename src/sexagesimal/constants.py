@@ -12,7 +12,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .errors import DomainError
-from .exact import TRUNC, _diff_digits, _digits_of_int, _int_of_digits, _Record, _render, _setattr, parse_decimal
+from .exact import TRUNC, _diff_digits, _digits_of_int, _int_of_digits, _rational, _Record, _render, _setattr, parse_decimal
 from .floating import normalize_float
 from .glyphs import DEFAULT_TABLE, GlyphTable, UnknownGlyphError, _decode_raw, _read_tsv
 
@@ -155,8 +155,8 @@ def encode_scientific(
     nonzero, trailing zeros dropped); the notation renders the exponent in
     glyphs, e.g. ``10^{-L}`` for -21, empty for 0.
     """
-    x = Fraction(x)
-    if x <= 0:
+    x = _rational(x)
+    if x.numerator <= 0:
         raise DomainError("scientific encoding requires a positive value")
     f = normalize_float(x, precision, mode)
     # the leading sexagesit is nonzero, so some digit remains

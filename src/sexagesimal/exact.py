@@ -57,6 +57,10 @@ _BCD = bytes(d + 0xF0 if d < 10 else d // 10 * 16 + d % 10 for d in range(BASE))
 # are "00" to "59" to its value; every other byte to 0xFF, out of range
 _UNBCD = bytes((b >> 4) * 10 + (b & 15) if b >> 4 < 6 and b & 15 < 10 else 255 for b in range(256))
 
+# every sexagesit as a byte: ``raw.translate(None, _SEXAGESITS)`` deletes
+# them, leaving the bytes of ``raw`` that are out of range, in order
+_SEXAGESITS = bytes(range(BASE))
+
 # `_emit_digits` blocks: decimal digits per "%d" block (far below CPython's
 # int-string limit), and ASCII digits to digit values
 _DEC_BLOCK = 300
@@ -118,6 +122,12 @@ def parse_decimal(text: str) -> Fraction:
         fault = f"exponent {exp} exceeds the int-string limit of {limit}", m.start(7)
     message, at = fault
     raise DecimalParseError(f"{message} at position {at + 1}: {quote(text)}", position=at + 1)
+
+
+def _rational(x) -> Fraction:
+    """``x`` as a `Fraction`: ``x`` itself when it is one, with no copy by
+    the constructor, else ``Fraction(x)``."""
+    return x if x.__class__ is Fraction else Fraction(x)
 
 
 def arith(op: str, x: Fraction, y: Fraction) -> Fraction:
@@ -299,7 +309,8 @@ def _int_of_digits(digits, base: int = BASE) -> int:
     every pair of w-byte fields into one 2w-byte field, from 1 up to 64
     bytes; ``int.from_bytes`` then reads the 64-byte fields, each the value
     of `_FOLD_LEAF` digits, and pairwise products with
-    base**(`_FOLD_LEAF` * 2**k) join them."""
+    base**(`_FOLD_LEAF` * 2**k), taken as a product with its odd part and
+    a shift, join them."""
     if len(digits) <= _FOLD_DIGITS:
         value = 0
         for d in digits:
@@ -319,13 +330,17 @@ def _int_of_digits(digits, base: int = BASE) -> int:
         w *= 2
     raw = x.to_bytes(size, "big")
     values = [int.from_bytes(raw[i : i + leaf], "big") for i in range(0, size, leaf)]
-    # power is base**leaf
+    # with base = odd << twos, base**m = odd**m << twos * m: a high half is
+    # multiplied by the shorter odd**m and shifted (60**m = 15**m << 2m)
+    twos = (base & -base).bit_length() - 1
+    power, shift = (base >> twos) ** leaf, twos * leaf
     while True:
-        odd = len(values) % 2  # an unpaired value is the most significant
-        values[odd:] = [hi * power + lo for hi, lo in zip(values[odd::2], values[odd + 1 :: 2])]
+        lone = len(values) % 2  # an unpaired value is the most significant
+        values[lone:] = [(hi * power << shift) + lo for hi, lo in zip(values[lone::2], values[lone + 1 :: 2])]
         if len(values) == 1:  # before a square that would go unused
             return values[0]
         power *= power
+        shift *= 2
 
 
 def _spell(digits, symbols) -> str:
@@ -364,8 +379,10 @@ def _diff_digits(published, derived, record) -> tuple:
 
 
 # a record's __init__ sets its fields with this, past `_Record.__setattr__`;
-# bound once, it takes one lookup fewer per field than object.__setattr__
+# bound once, it takes one lookup fewer per field than object.__setattr__.
+# A builder makes a record with `_new` and sets its fields the same way.
 _setattr = object.__setattr__
+_new = object.__new__
 
 
 class _Record:
@@ -403,16 +420,29 @@ class _Record:
         return f"{type(self).__qualname__}({fields})"
 
 
-def _check_sexagesits(raw, digits: tuple) -> None:
-    """Refuse a digit that is no int in 0..59.  ``digits`` is the nonempty
-    tuple of ``raw``; as `bytes` or `bytearray`, ``raw`` is checked by one
-    C-level ``max``, else digit by digit."""
-    if raw is digits or raw.__class__ not in (bytes, bytearray):  # a tuple costs one test
-        for d in digits:
-            if not (isinstance(d, int) and 0 <= d < BASE):
-                raise ValueError(f"sexagesit out of range: {d!r}")
-    elif max(raw) >= BASE:
-        raise ValueError(f"sexagesit out of range: {next(d for d in raw if d >= BASE)!r}")
+def _check_sexagesits(digits) -> None:
+    """Refuse a digit that is no int in 0..59, naming the first.  `bytes`
+    and `bytearray` are checked by one C-level ``translate``, any other
+    sequence digit by digit."""
+    if digits.__class__ in (bytes, bytearray):
+        bad = digits.translate(None, _SEXAGESITS)
+        if bad:
+            raise ValueError(f"sexagesit out of range: {bad[0]!r}")
+        return
+    for d in digits:
+        if not (isinstance(d, int) and 0 <= d < BASE):
+            raise ValueError(f"sexagesit out of range: {d!r}")
+
+
+def _sex_number(cls, sign: int, digits: tuple, frac_count: int) -> "SexNumber":
+    """The `SexNumber` (or subclass ``cls``) of fields its caller has just
+    made canonical, set without the constructor's checks, as
+    `_coprime_fraction` builds a `Fraction`."""
+    x = _new(cls)
+    _setattr(x, "sign", sign)
+    _setattr(x, "digits", digits)
+    _setattr(x, "frac_count", frac_count)
+    return x
 
 
 class SexNumber(_Record):
@@ -430,7 +460,9 @@ class SexNumber(_Record):
 
     def __init__(self, sign: int, digits: tuple[int, ...], frac_count: int):
         """``digits`` may be any sequence of ints; as `bytes` or `bytearray`
-        its range is checked by one C-level ``max``, else digit by digit."""
+        its range is checked by one C-level ``translate``, else digit by
+        digit.  Every field is checked; the package's own numbers come from
+        `from_digits`, which checks each digit once and skips the rest."""
         raw = digits
         digits = tuple(digits)
         _setattr(self, "sign", sign)
@@ -440,7 +472,7 @@ class SexNumber(_Record):
             raise ValueError(f"sign must be -1, 0 or 1, not {sign!r}")
         if not digits:
             raise ValueError("digit sequence is empty")
-        _check_sexagesits(raw, digits)
+        _check_sexagesits(raw if raw.__class__ in (bytes, bytearray) else digits)
         if not 0 <= frac_count <= len(digits):
             raise ValueError("frac_count out of range")
         if sign == 0:
@@ -464,11 +496,12 @@ class SexNumber(_Record):
         integer digit becomes 0, and a zero value or ``sign`` 0 gives zero.
 
         The digits are trimmed as `bytes` by C-level strips and slices, and
-        reach the constructor as bytes, for its one-pass range check.  A
-        digit that is no int in 0..59 is refused with the constructor's
-        message."""
+        their range is checked once, by `_check_sexagesits`'s one
+        ``translate``; a digit that is no int in 0..59 is refused with the
+        constructor's message.  The result is canonical by construction, so
+        its fields are set without the constructor's checks."""
         if sign == 0:
-            return cls(0, (0,), 0)
+            return _sex_number(cls, 0, (0,), 0)
         if digits.__class__ not in (bytes, bytearray):
             digits = list(digits)
             try:
@@ -483,9 +516,11 @@ class SexNumber(_Record):
         int_len = len(digits) - frac_count
         head = digits[:int_len].lstrip(b"\0") or b"\0"
         tail = digits[int_len:].rstrip(b"\0")
-        if tail or head != b"\0":
-            return cls(1 if sign > 0 else -1, head + tail, len(tail))
-        return cls(0, (0,), 0)
+        if not tail and head == b"\0":
+            return _sex_number(cls, 0, (0,), 0)
+        digits = head + tail
+        _check_sexagesits(digits)
+        return _sex_number(cls, 1 if sign > 0 else -1, tuple(digits), len(tail))
 
     @classmethod
     def from_int(cls, n: int) -> "SexNumber":
@@ -538,7 +573,7 @@ def _coprime_fraction(num: int, den: int) -> Fraction:
     """The `Fraction` num/den for coprime num and den > 0, built without the
     gcd its constructor runs, as CPython 3.12's private
     ``Fraction._from_coprime_ints`` does."""
-    x = object.__new__(Fraction)
+    x = _new(Fraction)
     x._numerator = num
     x._denominator = den
     return x
@@ -846,7 +881,7 @@ def to_sexagesimal(
     if max_frac < 0:
         raise DomainError("max_frac must be non-negative")
     _check_mode(mode)
-    x = Fraction(x)
+    x = _rational(x)
     info = _expand(x, BASE, max_frac, detect_repetend)
     if info.terminates_within(max_frac):
         # exact at this budget: the expansion's digits are the number's
@@ -894,4 +929,4 @@ def to_decimal(x: Fraction, max_frac: int = 64, detect_repetend: bool = True) ->
     """
     if max_frac < 0:
         raise DomainError("max_frac must be non-negative")
-    return _expand(Fraction(x), 10, max_frac, detect_repetend)
+    return _expand(_rational(x), 10, max_frac, detect_repetend)

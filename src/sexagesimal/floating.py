@@ -17,6 +17,8 @@ from .exact import (
     _check_mode,
     _check_sexagesits,
     _digits_of_int,
+    _new,
+    _rational,
     _Record,
     _round_quotient,
     _setattr,
@@ -30,7 +32,9 @@ class SexFloat(_Record):
     exponent: int
 
     def __init__(self, sign: int, mantissa: tuple[int, ...], exponent: int):
-        """``mantissa`` may be any sequence of ints, checked as `SexNumber` checks digits."""
+        """``mantissa`` may be any sequence of ints, checked as `SexNumber`
+        checks digits.  Every field is checked; the package's own floats
+        come from builders that make them normalized and skip the checks."""
         raw = mantissa
         mantissa = tuple(mantissa)
         _setattr(self, "sign", sign)
@@ -40,7 +44,7 @@ class SexFloat(_Record):
             raise ValueError(f"sign must be -1, 0 or 1, not {sign!r}")
         if not mantissa:
             raise ValueError("mantissa is empty")
-        _check_sexagesits(raw, mantissa)
+        _check_sexagesits(raw if raw.__class__ in (bytes, bytearray) else mantissa)
         if sign == 0:
             if any(mantissa) or exponent != 0:
                 raise ValueError("zero must have an all-zero mantissa and exponent 0")
@@ -49,7 +53,10 @@ class SexFloat(_Record):
 
     @classmethod
     def zero(cls, precision: int) -> "SexFloat":
-        return cls(0, (0,) * precision, 0)
+        mantissa = (0,) * precision
+        if not mantissa:  # the constructor's error
+            return cls(0, mantissa, 0)
+        return _sex_float(cls, 0, mantissa, 0)
 
     @property
     def precision(self) -> int:
@@ -65,7 +72,9 @@ class SexFloat(_Record):
 
     @classmethod
     def from_sex_number(cls, x: SexNumber, precision: int | None = None) -> "SexFloat":
-        """Exact conversion; optionally zero-pad the mantissa to ``precision``."""
+        """Exact conversion; optionally zero-pad the mantissa to ``precision``.
+        The digits of a canonical ``x``, stripped of leading zeros, are a
+        normalized mantissa, so it is set without the constructor's checks."""
         if x.is_zero:
             return cls.zero(precision or 1)
         digits = bytes(x.digits).lstrip(b"\0")
@@ -75,10 +84,20 @@ class SexFloat(_Record):
             if len(digits) > precision:
                 raise DomainError(f"{len(digits)} significant sexagesits do not fit precision {precision}")
             digits = digits.ljust(precision, b"\0")
-        return cls(x.sign, digits, exponent)
+        return _sex_float(cls, x.sign, tuple(digits), exponent)
 
     def __str__(self) -> str:
         return self.to_sex_number().canonical_text()
+
+
+def _sex_float(cls, sign: int, mantissa: tuple, exponent: int) -> SexFloat:
+    """The `SexFloat` (or subclass ``cls``) of fields its caller has just
+    made normalized, set without the constructor's checks."""
+    x = _new(cls)
+    _setattr(x, "sign", sign)
+    _setattr(x, "mantissa", mantissa)
+    _setattr(x, "exponent", exponent)
+    return x
 
 
 _LN60 = math.log(BASE)
@@ -121,8 +140,8 @@ def normalize_float(x: Fraction, precision: int, mode: str = TRUNC) -> SexFloat:
     if precision < 1:
         raise DomainError("precision must be at least 1")
     _check_mode(mode)
-    x = Fraction(x)
-    if x == 0:
+    x = _rational(x)
+    if not x.numerator:
         return SexFloat.zero(precision)
     e = _magnitude_exponent(x)
     shift = precision - e
@@ -132,7 +151,8 @@ def normalize_float(x: Fraction, precision: int, mode: str = TRUNC) -> SexFloat:
     if m == BASE**precision:
         m //= BASE
         e += 1
-    return SexFloat(1 if x > 0 else -1, bytes(_digits_of_int(m, width=precision)), e)
+    # 60**(precision - 1) <= m < 60**precision: a normalized mantissa
+    return _sex_float(SexFloat, 1 if x.numerator > 0 else -1, tuple(_digits_of_int(m, width=precision)), e)
 
 
 def machine_epsilon(precision: int) -> Fraction:

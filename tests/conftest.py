@@ -1,4 +1,6 @@
+import copy
 import os
+import pickle
 import subprocess
 import sys
 from fractions import Fraction
@@ -34,6 +36,19 @@ def nonzero_rationals():
     return rationals().filter(lambda f: f != 0)
 
 
+def assert_same_record(built, expected):
+    """``built`` and ``expected`` are the same record: equal, with equal
+    types, fields, hashes, reprs, pickles and copies.  For records a builder
+    made without the constructor's checks, against the constructor's."""
+    assert built == expected and type(built) is type(expected)
+    assert vars(built) == vars(expected)
+    assert hash(built) == hash(expected)
+    assert repr(built) == repr(expected)
+    assert pickle.dumps(built) == pickle.dumps(expected)
+    assert pickle.loads(pickle.dumps(built)) == expected
+    assert copy.copy(built) == expected and copy.deepcopy(built) == expected
+
+
 def run_python(args, timeout):
     """Run a fresh interpreter on ``args`` with the package under test on its
     path. A run still going after ``timeout`` seconds is killed and raises
@@ -46,4 +61,4 @@ def run_python(args, timeout):
     )
 
 
-__all__ = ["sex_numbers", "rationals", "nonzero_rationals", "run_python", "Fraction"]
+__all__ = ["sex_numbers", "rationals", "nonzero_rationals", "assert_same_record", "run_python", "Fraction"]

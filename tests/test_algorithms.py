@@ -96,10 +96,12 @@ class TestHeronSqrt:
         start = {"one": Fraction(1), "self": a, "default": _documented_start(a)}[start_kind]
         eps = Fraction(1, 60**precision)
 
-        # independent re-run of the recurrence, tracking every residual
-        cur, residuals = start, []
+        # independent run of the recurrence, keeping every iterate and
+        # residual
+        cur, iterates, residuals = start, [], []
         for _ in range(200):
             nxt = (cur + a / cur) / 2
+            iterates.append(nxt)
             residuals.append(abs(nxt - cur))
             cur = nxt
             if residuals[-1] < eps:
@@ -107,11 +109,11 @@ class TestHeronSqrt:
         else:
             pytest.fail("oracle iteration did not converge")
 
-        # overshoot: from the first iterate on, x_n^2 >= a (exact)
-        x = start
-        for _ in range(len(residuals)):
-            x = (x + a / x) / 2
-            assert x * x >= a
+        # overshoot: from the first iterate on, x_n^2 >= a (exact), compared
+        # as p^2 * B >= A * q^2 for x_n = p/q and a = A/B, which spares the
+        # gcds of a `Fraction` product
+        for x in iterates:
+            assert x.numerator**2 * a.denominator >= a.numerator * x.denominator**2
 
         # residuals are eventually strictly decreasing
         tail = residuals[1:]
@@ -465,6 +467,51 @@ class TestIsRegular:
         reg = is_regular(n)
         assert 2**reg.exp2 * 3**reg.exp3 * 5**reg.exp5 * reg.cofactor == n
         assert reg.is_regular == (reg.cofactor == 1)
+
+    @given(st.data())
+    def test_valuations_match_the_loop_across_the_cutoff(self, data):
+        # past _DC_BITS the exponents come from the lowest set bit and
+        # `_valuation`; on both sides of the cutoff they must be the
+        # loop's, for any cofactor (one with factors of 2, 3 or 5 too)
+        bits = data.draw(st.integers(exact._DC_BITS - 24, exact._DC_BITS + 24))
+        a, b, c = (data.draw(st.integers(0, 120)) for _ in range(3))
+        smooth = 2**a * 3**b * 5**c
+        room = max(bits - smooth.bit_length(), 1)
+        cofactor = data.draw(st.integers(1, 2**room - 1) | st.sampled_from([1, 7, 2**room - 1]))
+        n = smooth * cofactor
+        expected = []
+        rest = n
+        for p in (2, 3, 5):
+            e = 0
+            while rest % p == 0:
+                rest //= p
+                e += 1
+            expected.append(e)
+        assert is_regular(n) == (rest == 1, *expected, rest)
+
+    @pytest.mark.parametrize("k", [86, 87])
+    def test_powers_of_sixty_at_the_cutoff(self, k):
+        # 60**87 is the first power of 60 past _DC_BITS (512) bits
+        assert is_regular(60**k) == (True, 2 * k, k, k, 1)
+        assert is_regular(60**k * 7) == (False, 2 * k, k, k, 7)
+        assert is_regular(60**k + 1) == (False, 0, 0, 0, 60**k + 1)
+
+    def test_large_operand_within_deadline(self):
+        # dividing out one prime power at a time is quadratic: 60**50000 * 7
+        # (295k bits) took about 16 s that way, and takes 0.04 s by
+        # valuations (CPython 3.11)
+        code = (
+            "import time\n"
+            "from sexagesimal import is_regular\n"
+            "start = time.perf_counter()\n"
+            "reg = is_regular(60**50000 * 7)\n"
+            "print(time.perf_counter() - start, *reg)\n"
+        )
+        proc = run_python(["-c", code], timeout=10)
+        assert proc.returncode == 0, proc.stderr
+        elapsed, *reg = proc.stdout.split()
+        assert reg == ["False", "100000", "50000", "50000", "7"]
+        assert float(elapsed) < 1.0
 
 
 class TestTripleFromGenerators:

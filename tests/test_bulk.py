@@ -9,7 +9,19 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
-from sexagesimal import DEFAULT_TABLE, GlyphTable, ParseError, SexNumber, from_sexagesimal, glyphs
+from conftest import assert_same_record
+from sexagesimal import (
+    DEFAULT_TABLE,
+    GlyphTable,
+    ParseError,
+    SexFloat,
+    SexNumber,
+    exact,
+    floating,
+    from_sexagesimal,
+    glyphs,
+    normalize_float,
+)
 from sexagesimal.errors import QUOTE_CHARS, quote
 from sexagesimal.exact import _FOLD_DIGITS, _FOLD_LEAF, _digits_of_int, _int_of_digits, to_sexagesimal
 from sexagesimal.glyphs import DigitRangeError, GlyphError, UnknownGlyphError, decode_canonical, decode_glyphs
@@ -300,7 +312,7 @@ def _horner(digits, base):
 
 
 class TestPackedFold:
-    @pytest.mark.parametrize("base", [10, 60])
+    @pytest.mark.parametrize("base", [7, 10, 16, 60])
     def test_against_horner(self, base):
         leaf = _FOLD_LEAF
         lengths = {1, 2, _FOLD_DIGITS - 1, _FOLD_DIGITS, _FOLD_DIGITS + 1, 2 * _FOLD_DIGITS + 1}
@@ -370,13 +382,32 @@ class TestDigitBytes:
     @given(st.lists(st.integers(0, 59), max_size=40), st.data())
     def test_byte_builder_matches_from_digits(self, digits, data):
         # the builder against the reference that trims a list one item at a
-        # time, for every kind of digit sequence, sign 0 and a frac_count
-        # past the digits
+        # time and builds through the checking constructor, for every kind
+        # of digit sequence, sign 0 and a frac_count past the digits: the
+        # builder skips the constructor's checks, and its record must be the
+        # same value in every respect
         frac_count = data.draw(st.integers(0, len(digits) + 3))
         sign = data.draw(st.sampled_from([-1, 0, 1, 5]))
         expected = _reference_from_digits(sign, digits, frac_count)
         for raw in (digits, tuple(digits), iter(digits), bytes(digits), bytearray(digits)):
-            assert SexNumber.from_digits(sign, raw, frac_count) == expected
+            built = SexNumber.from_digits(sign, raw, frac_count)
+            assert_same_record(built, expected)
+            assert type(built.digits) is tuple and all(type(d) is int for d in built.digits)
+
+    @pytest.mark.parametrize("digits", [(1, 2, 60, 3), (1, 2, 255, 3), (0, None), (0, 70, 300)])
+    def test_builder_refuses_like_the_constructor(self, digits):
+        # the builder checks each digit once, by its own code; the error
+        # must be the constructor's, naming the first bad digit
+        with pytest.raises(ValueError) as checked:
+            SexNumber(1, digits, 1)
+        inputs = [list(digits), digits, iter(digits)]
+        if all(isinstance(d, int) and 0 <= d < 256 for d in digits):
+            inputs += [bytes(digits), bytearray(digits)]
+        for raw in inputs:
+            with pytest.raises(ValueError) as built:
+                SexNumber.from_digits(1, raw, 1)
+            assert type(built.value) is type(checked.value)
+            assert str(built.value) == str(checked.value)
 
     def test_to_sexagesimal_round_trip_across_the_cutoffs(self):
         rng = random.Random(7)
@@ -385,3 +416,36 @@ class TestDigitBytes:
             x = SexNumber(1, tuple(digits), n // 3)
             number, info = to_sexagesimal(from_sexagesimal(x), x.frac_count)
             assert number == x and info.frac_len == x.frac_count
+
+
+class TestNoMaxOverDigitRuns:
+    """A digit run is range-checked by one C-level ``translate``, never by
+    ``max`` over it: a count by patching the ``max`` name in the modules
+    that build and decode numbers, which does not depend on the host's
+    speed.  ``max`` of a few values (a bit count, say) stays allowed."""
+
+    def test_long_numerals_pass_no_run_to_max(self, monkeypatch):
+        runs = []
+
+        def counted(*args, **kwargs):
+            # one iterable argument is a run; one without a length counts as long
+            if len(args) == 1:
+                runs.append(len(args[0]) if hasattr(args[0], "__len__") else -1)
+            return max(*args, **kwargs)
+
+        for module in (exact, glyphs, floating):
+            monkeypatch.setattr(module, "max", counted, raising=False)
+        n = 100_000
+        rng = random.Random(n)
+        digits = bytes([rng.randrange(1, 60)] + [rng.randrange(60) for _ in range(n - 2)] + [rng.randrange(1, 60)])
+        x = SexNumber(-1, digits, n // 3)
+        value = from_sexagesimal(x)
+        number, _ = to_sexagesimal(value, x.frac_count)
+        assert number == x
+        assert decode_canonical(number.canonical_text()) == x
+        assert decode_glyphs(glyphs.encode_glyphs(number)) == x
+        assert SexNumber.from_digits(-1, digits, n // 3) == x
+        f = normalize_float(value, n)
+        assert SexFloat.from_sex_number(x, n) == f
+        long_runs = [k for k in runs if k > 64 or k < 0]
+        assert not long_runs, long_runs[:3]

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import nonzero_rationals, run_python, sex_numbers
+from conftest import assert_same_record, nonzero_rationals, rationals, run_python, sex_numbers
 from sexagesimal import (
     HALF_UP,
     TRUNC,
@@ -19,6 +19,7 @@ from sexagesimal import (
     to_decimal,
     to_sexagesimal,
 )
+from sexagesimal.exact import ROUNDING_MODES
 from sexagesimal.floating import _magnitude_exponent
 
 
@@ -190,6 +191,35 @@ class TestSexFloatConversions:
         for mantissa in ((1, 60), b"\x01\x3c", bytearray(b"\x01\x3c"), [1, 60]):
             with pytest.raises(ValueError, match="sexagesit out of range: 60"):
                 SexFloat(1, mantissa, 0)
+
+
+class TestBuildersMatchTheConstructor:
+    """`normalize_float`, `SexFloat.from_sex_number` and `SexFloat.zero` set
+    the fields of a float they have just made normalized without the
+    constructor's checks; each must be the record the checking constructor
+    builds from the same fields."""
+
+    @given(rationals(max_num=10**30, max_den=10**30), st.integers(1, 32), st.sampled_from(ROUNDING_MODES))
+    def test_normalize_float(self, x, precision, mode):
+        f = normalize_float(x, precision, mode)
+        assert_same_record(f, SexFloat(f.sign, f.mantissa, f.exponent))
+        assert type(f.mantissa) is tuple and all(type(d) is int for d in f.mantissa)
+
+    @given(rationals(max_num=10**30, max_den=10**30), st.integers(1, 32), st.integers(0, 4))
+    def test_from_sex_number(self, x, precision, pad):
+        number, _ = to_sexagesimal(x, precision)
+        for f in (SexFloat.from_sex_number(number), SexFloat.from_sex_number(number, precision + pad + 30)):
+            assert_same_record(f, SexFloat(f.sign, f.mantissa, f.exponent))
+            assert type(f.mantissa) is tuple and all(type(d) is int for d in f.mantissa)
+
+    @pytest.mark.parametrize("precision", [1, 2, 32])
+    def test_zero(self, precision):
+        assert_same_record(SexFloat.zero(precision), SexFloat(0, (0,) * precision, 0))
+
+    @pytest.mark.parametrize("precision", [0, -1])
+    def test_zero_refuses_an_empty_mantissa_like_the_constructor(self, precision):
+        with pytest.raises(ValueError, match="^mantissa is empty$"):
+            SexFloat.zero(precision)
 
 
 class TestMachineEpsilon:
