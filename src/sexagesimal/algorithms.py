@@ -16,7 +16,6 @@ from .exact import (
     Rational,
     SexNumber,
     _coprime_fraction,
-    _DC_BITS,
     _diff_digits,
     _rational,
     _Record,
@@ -249,25 +248,15 @@ def is_regular(n: int) -> Regularity:
     """Whether n = 2^a * 3^b * 5^c; exactly these denominators give
     terminating base-60 expansions.
 
-    Up to `_DC_BITS` bits, each prime is divided out one power at a time.
-    Past that, where this is quadratic, as in `_split_denominator`: the
-    power of 2 is n's lowest set bit, and those of 3 and 5 come from
-    `_valuation`'s O(log e) big divisions."""
+    As in `_split_denominator`, the power of 2 is n's lowest set bit, and
+    those of 3 and 5 come from `_valuation`'s O(log e) big divisions, not
+    one division per power, which is quadratic in n's length."""
     if n < 1:
         raise DomainError("n must be at least 1")
-    if n.bit_length() > _DC_BITS:
-        a = (n & -n).bit_length() - 1
-        b, n = _valuation(n >> a, 3, n.bit_length())
-        c, n = _valuation(n, 5, n.bit_length())
-        return Regularity(n == 1, a, b, c, n)
-    exps = []
-    for p in (2, 3, 5):
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        exps.append(e)
-    return Regularity(n == 1, exps[0], exps[1], exps[2], n)
+    a = (n & -n).bit_length() - 1
+    b, n = _valuation(n >> a, 3, n.bit_length())
+    c, n = _valuation(n, 5, n.bit_length())
+    return Regularity(n == 1, a, b, c, n)
 
 
 def triple_from_generators(p: int, q: int) -> Triple:

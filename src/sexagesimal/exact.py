@@ -380,7 +380,7 @@ def _diff_digits(published, derived, record) -> tuple:
 
 # a record's __init__ sets its fields with this, past `_Record.__setattr__`;
 # bound once, it takes one lookup fewer per field than object.__setattr__.
-# A builder makes a record with `_new` and sets its fields the same way.
+# `_Record._build` makes a record with `_new` and sets its fields the same way.
 _setattr = object.__setattr__
 _new = object.__new__
 
@@ -391,12 +391,28 @@ class _Record:
     assigned or deleted, records of one class compare and hash by their
     field values, and the repr is ``Name(field=value, ...)``.  The fields
     are also the positional ``match`` arguments, unless the subclass
-    names its own ``__match_args__``."""
+    names its own ``__match_args__``.  A subclass of a record keeps its
+    parent's fields, followed by any it annotates itself."""
 
     def __init_subclass__(cls):
         super().__init_subclass__()
-        cls._fields = tuple(cls.__annotations__)
+        # before this assignment, ``cls._fields`` is the parent record's
+        cls._fields = getattr(cls, "_fields", ()) + tuple(vars(cls).get("__annotations__", ()))
         cls.__match_args__ = vars(cls).get("__match_args__", cls._fields)
+
+    @classmethod
+    def _build(cls, first, second, third):
+        """The record of a class of three fields, such as `SexNumber` and
+        `SexFloat`, from values its caller has just made valid: they are set
+        in field order without ``__init__``'s checks, as `_coprime_fraction`
+        builds a `Fraction`.  Three named arguments, not a loop over
+        ``*values``, keep it as fast as setting each field by its name."""
+        x = _new(cls)
+        name1, name2, name3 = cls._fields
+        _setattr(x, name1, first)
+        _setattr(x, name2, second)
+        _setattr(x, name3, third)
+        return x
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
@@ -432,17 +448,6 @@ def _check_sexagesits(digits) -> None:
     for d in digits:
         if not (isinstance(d, int) and 0 <= d < BASE):
             raise ValueError(f"sexagesit out of range: {d!r}")
-
-
-def _sex_number(cls, sign: int, digits: tuple, frac_count: int) -> "SexNumber":
-    """The `SexNumber` (or subclass ``cls``) of fields its caller has just
-    made canonical, set without the constructor's checks, as
-    `_coprime_fraction` builds a `Fraction`."""
-    x = _new(cls)
-    _setattr(x, "sign", sign)
-    _setattr(x, "digits", digits)
-    _setattr(x, "frac_count", frac_count)
-    return x
 
 
 class SexNumber(_Record):
@@ -501,7 +506,7 @@ class SexNumber(_Record):
         constructor's message.  The result is canonical by construction, so
         its fields are set without the constructor's checks."""
         if sign == 0:
-            return _sex_number(cls, 0, (0,), 0)
+            return cls._build(0, (0,), 0)
         if digits.__class__ not in (bytes, bytearray):
             digits = list(digits)
             try:
@@ -517,10 +522,10 @@ class SexNumber(_Record):
         head = digits[:int_len].lstrip(b"\0") or b"\0"
         tail = digits[int_len:].rstrip(b"\0")
         if not tail and head == b"\0":
-            return _sex_number(cls, 0, (0,), 0)
+            return cls._build(0, (0,), 0)
         digits = head + tail
         _check_sexagesits(digits)
-        return _sex_number(cls, 1 if sign > 0 else -1, tuple(digits), len(tail))
+        return cls._build(1 if sign > 0 else -1, tuple(digits), len(tail))
 
     @classmethod
     def from_int(cls, n: int) -> "SexNumber":

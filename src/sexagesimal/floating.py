@@ -17,7 +17,6 @@ from .exact import (
     _check_mode,
     _check_sexagesits,
     _digits_of_int,
-    _new,
     _rational,
     _Record,
     _round_quotient,
@@ -56,7 +55,7 @@ class SexFloat(_Record):
         mantissa = (0,) * precision
         if not mantissa:  # the constructor's error
             return cls(0, mantissa, 0)
-        return _sex_float(cls, 0, mantissa, 0)
+        return cls._build(0, mantissa, 0)
 
     @property
     def precision(self) -> int:
@@ -84,20 +83,10 @@ class SexFloat(_Record):
             if len(digits) > precision:
                 raise DomainError(f"{len(digits)} significant sexagesits do not fit precision {precision}")
             digits = digits.ljust(precision, b"\0")
-        return _sex_float(cls, x.sign, tuple(digits), exponent)
+        return cls._build(x.sign, tuple(digits), exponent)
 
     def __str__(self) -> str:
         return self.to_sex_number().canonical_text()
-
-
-def _sex_float(cls, sign: int, mantissa: tuple, exponent: int) -> SexFloat:
-    """The `SexFloat` (or subclass ``cls``) of fields its caller has just
-    made normalized, set without the constructor's checks."""
-    x = _new(cls)
-    _setattr(x, "sign", sign)
-    _setattr(x, "mantissa", mantissa)
-    _setattr(x, "exponent", exponent)
-    return x
 
 
 _LN60 = math.log(BASE)
@@ -152,7 +141,7 @@ def normalize_float(x: Fraction, precision: int, mode: str = TRUNC) -> SexFloat:
         m //= BASE
         e += 1
     # 60**(precision - 1) <= m < 60**precision: a normalized mantissa
-    return _sex_float(SexFloat, 1 if x.numerator > 0 else -1, tuple(_digits_of_int(m, width=precision)), e)
+    return SexFloat._build(1 if x.numerator > 0 else -1, tuple(_digits_of_int(m, width=precision)), e)
 
 
 def machine_epsilon(precision: int) -> Fraction:

@@ -12,7 +12,7 @@ from itertools import repeat
 from types import MappingProxyType
 
 from .errors import QUOTE_CHARS, ParseError, quote
-from .exact import _SEXAGESITS, _UNBCD, BASE, SexNumber, _Record, _render, _setattr
+from .exact import _UNBCD, BASE, SexNumber, _Record, _render, _setattr
 
 # the glyph of each value 0..59 at its index; value 50 is LATIN SMALL LETTER
 # O, as published, among the Greek letters
@@ -140,9 +140,9 @@ def decode_glyphs(text: str, table: GlyphTable = DEFAULT_TABLE) -> SexNumber:
     The text is read by C-level string operations, whatever its length:
     the spaces before a ``-`` sign are stripped, one ``partition`` splits
     at the radix point, and one ``str.translate`` of each part through the
-    table's map must encode as Latin-1 to digit values below BASE, which
-    one ``bytes.translate`` that deletes every sexagesit checks.  Text this
-    refuses is malformed, and `_glyph_fault` names its fault."""
+    table's map must encode as Latin-1 to digit values, which
+    `SexNumber.from_digits` checks are below BASE as it builds the number.
+    Text this refuses is malformed, and `_glyph_fault` names its fault."""
     body = text.lstrip(" ")
     sign = -1 if body[:1] == "-" else 1
     int_part, point, frac_part = body[sign < 0 :].partition(";")
@@ -151,10 +151,12 @@ def decode_glyphs(text: str, table: GlyphTable = DEFAULT_TABLE) -> SexNumber:
         frac_digits = frac_part.translate(table._bulk_map).encode("latin-1")
     except UnicodeEncodeError:  # a code point past 255, not a glyph
         _glyph_fault(text, table)
-    digits = int_digits + frac_digits
-    if not (int_digits and (frac_digits or not point)) or digits.translate(None, _SEXAGESITS):
-        _glyph_fault(text, table)
-    return SexNumber.from_digits(sign, digits, len(frac_digits))
+    if int_digits and (frac_digits or not point):
+        try:
+            return SexNumber.from_digits(sign, int_digits + frac_digits, len(frac_digits))
+        except ValueError:  # a byte that is no sexagesit
+            pass
+    _glyph_fault(text, table)
 
 
 def _glyph_fault(text: str, table: GlyphTable):
@@ -202,9 +204,8 @@ def decode_canonical(text: str) -> SexNumber:
     token, its leading zeros stripped when it has more than two characters,
     is zero-filled to two ASCII digits, and one ``bytes.fromhex`` and one
     ``bytes.translate`` through `exact._UNBCD` give the digit values, which
-    must all be below BASE: a second ``translate`` that deletes every
-    sexagesit must leave nothing.  Text this refuses is malformed, and
-    `_canonical_fault` names its fault."""
+    `SexNumber.from_digits` checks are below BASE as it builds the number.
+    Text this refuses is malformed, and `_canonical_fault` names its fault."""
     sign = -1 if text[:1] == "-" else 1
     int_part, point, frac_part = text[sign < 0 :].partition(";")
     tokens = int_part.split(":")
@@ -218,10 +219,11 @@ def decode_canonical(text: str) -> SexNumber:
         numerals = "".join(map(str.zfill, map(str.lstrip, tokens, repeat("0")), repeat(2)))
     if "" in tokens or len(numerals) != 2 * len(tokens) or not (numerals.isascii() and numerals.isdigit()):
         _canonical_fault(text)
-    digits = bytes.fromhex(numerals).translate(_UNBCD)
-    if digits.translate(None, _SEXAGESITS):
-        _canonical_fault(text)
-    return SexNumber.from_digits(sign, digits, frac_count)
+    try:
+        return SexNumber.from_digits(sign, bytes.fromhex(numerals).translate(_UNBCD), frac_count)
+    except ValueError:  # a token of 60 to 99
+        pass
+    _canonical_fault(text)
 
 
 def _canonical_fault(text: str):

@@ -190,6 +190,25 @@ def test_field_values_decide_equality():
     assert SexNumber(1, [1, 30], 1) == NUMBER and SexFloat(1, [1, 30], 1) == FLOAT
 
 
+def test_subclass_keeps_the_fields_and_the_builders():
+    # a subclass of a record has its parent's fields, and a builder called
+    # on it makes the subclass's record with every field set
+    class Number(SexNumber):
+        pass
+
+    class Float(SexFloat):
+        pass
+
+    assert Number._fields == SexNumber._fields and Number.__match_args__ == SexNumber.__match_args__
+    assert Number(1, (1, 30), 1) != Number(1, (1, 31), 1)
+    built = Number.from_digits(1, b"\x00\x01\x1e\x00", 2)
+    assert type(built) is Number and built == Number(1, (1, 30), 1)
+    assert repr(built).endswith(".Number(sign=1, digits=(1, 30), frac_count=1)")
+    floats = (Float.from_sex_number(NUMBER), Float.zero(2))
+    assert [type(f) for f in floats] == [Float, Float]
+    assert floats == (Float(1, (1, 30), 1), Float(0, (0, 0), 0))
+
+
 def test_glyph_table_is_unhashable():
     # its maps are read-only views of dicts, and hash like them
     with pytest.raises(TypeError):
