@@ -74,11 +74,6 @@ class HeronResult(_Record):
     iterations: int
     residual: Fraction
 
-    def __init__(self, value: SexFloat, iterations: int, residual: Fraction):
-        _setattr(self, "value", value)
-        _setattr(self, "iterations", iterations)
-        _setattr(self, "residual", residual)
-
 
 class PlimptonRow(_Record):
     """One reconstructed tablet row: the ratio column as exact sexagesimal
@@ -321,20 +316,6 @@ class RowDiff(_Record):
     published: SexNumber | None
     mismatches: tuple[DigitMismatch, ...]
     error: str | None
-
-    def __init__(
-        self,
-        index: int,
-        row: PlimptonRow | None,
-        published: SexNumber | None,
-        mismatches: tuple[DigitMismatch, ...],
-        error: str | None,
-    ):
-        _setattr(self, "index", index)
-        _setattr(self, "row", row)
-        _setattr(self, "published", published)
-        _setattr(self, "mismatches", mismatches)
-        _setattr(self, "error", error)
 
     @property
     def ok(self) -> bool:

@@ -63,42 +63,17 @@ class EntryStatus(_Record):
 
     entry: ConstantEntry
     kind: str
-    published_digits: tuple[int, ...] | None
-    derived_digits: tuple[int, ...] | None
-    published_scale: int | None
-    derived_scale: int | None
-    digit_diffs: tuple[DigitDiff, ...]
-    glyph: str | None  # offending glyph when undecodable
-    position: int | None
-
-    def __init__(
-        self,
-        entry: ConstantEntry,
-        kind: str,
-        published_digits: tuple[int, ...] | None = None,
-        derived_digits: tuple[int, ...] | None = None,
-        published_scale: int | None = None,
-        derived_scale: int | None = None,
-        digit_diffs: tuple[DigitDiff, ...] = (),
-        glyph: str | None = None,
-        position: int | None = None,
-    ):
-        _setattr(self, "entry", entry)
-        _setattr(self, "kind", kind)
-        _setattr(self, "published_digits", published_digits)
-        _setattr(self, "derived_digits", derived_digits)
-        _setattr(self, "published_scale", published_scale)
-        _setattr(self, "derived_scale", derived_scale)
-        _setattr(self, "digit_diffs", digit_diffs)
-        _setattr(self, "glyph", glyph)
-        _setattr(self, "position", position)
+    published_digits: tuple[int, ...] | None = None
+    derived_digits: tuple[int, ...] | None = None
+    published_scale: int | None = None
+    derived_scale: int | None = None
+    digit_diffs: tuple[DigitDiff, ...] = ()
+    glyph: str | None = None  # offending glyph when undecodable
+    position: int | None = None
 
 
 class VerificationReport(_Record):
     statuses: tuple[EntryStatus, ...]
-
-    def __init__(self, statuses: tuple[EntryStatus, ...]):
-        _setattr(self, "statuses", statuses)
 
     def count(self, kind: str) -> int:
         return sum(1 for s in self.statuses if s.kind == kind)

@@ -378,9 +378,10 @@ def _diff_digits(published, derived, record) -> tuple:
     return tuple(record(i, p, d) for i, (p, d) in pairs if p != d)
 
 
-# a record's __init__ sets its fields with this, past `_Record.__setattr__`;
-# bound once, it takes one lookup fewer per field than object.__setattr__.
-# `_Record._build` makes a record with `_new` and sets its fields the same way.
+# every record constructor, hand-written or written by `_Record`, sets its
+# fields with this, past `_Record.__setattr__`: bound once, it takes one
+# lookup fewer per field than object.__setattr__.  `_Record._build` makes a
+# record with `_new` and sets its fields the same way.
 _setattr = object.__setattr__
 _new = object.__new__
 
@@ -392,13 +393,17 @@ class _Record:
     field values, and the repr is ``Name(field=value, ...)``.  The fields
     are also the positional ``match`` arguments, unless the subclass
     names its own ``__match_args__``.  A subclass of a record keeps its
-    parent's fields, followed by any it annotates itself."""
+    parent's fields, followed by any it annotates itself; if it annotates
+    some and defines no ``__init__``, `_field_init` writes one."""
 
     def __init_subclass__(cls):
         super().__init_subclass__()
+        own = vars(cls).get("__annotations__", ())
         # before this assignment, ``cls._fields`` is the parent record's
-        cls._fields = getattr(cls, "_fields", ()) + tuple(vars(cls).get("__annotations__", ()))
+        cls._fields = getattr(cls, "_fields", ()) + tuple(own)
         cls.__match_args__ = vars(cls).get("__match_args__", cls._fields)
+        if own and "__init__" not in vars(cls):
+            cls.__init__ = _field_init(cls)
 
     @classmethod
     def _build(cls, first, second, third):
@@ -436,18 +441,29 @@ class _Record:
         return f"{type(self).__qualname__}({fields})"
 
 
+def _field_init(cls):
+    """``__init__(self, f1, ..., fn)`` over ``cls._fields``, compiled once:
+    one `_setattr` per field, in order, as a hand-written constructor has
+    it.  A field's value in the class body is its default."""
+    names = cls._fields
+    defaults = {name: getattr(cls, name) for name in names if hasattr(cls, name)}
+    params = ", ".join(f"{name}=_defaults[{name!r}]" if name in defaults else name for name in names)
+    body = "".join(f"\n    _setattr(self, {name!r}, {name})" for name in names)
+    namespace = {"_setattr": _setattr, "_defaults": defaults, "__name__": cls.__module__}
+    exec(f"def __init__(self, {params}):{body}", namespace)
+    init = namespace["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    return init
+
+
 def _check_sexagesits(digits) -> None:
-    """Refuse a digit that is no int in 0..59, naming the first.  `bytes`
-    and `bytearray` are checked by one C-level ``translate``, any other
-    sequence digit by digit."""
-    if digits.__class__ in (bytes, bytearray):
-        bad = digits.translate(None, _SEXAGESITS)
-        if bad:
-            raise ValueError(f"sexagesit out of range: {bad[0]!r}")
-        return
-    for d in digits:
+    """Refuse a digit that is no int in 0..59, naming the first.  Of `bytes`
+    and `bytearray`, one C-level ``translate`` leaves only the bad digits;
+    other sequences are checked digit by digit.  ``from None``: the builder
+    `SexNumber.from_digits` calls this while handling ``bytes()``'s error."""
+    for d in digits.translate(None, _SEXAGESITS) if digits.__class__ in (bytes, bytearray) else digits:
         if not (isinstance(d, int) and 0 <= d < BASE):
-            raise ValueError(f"sexagesit out of range: {d!r}")
+            raise ValueError(f"sexagesit out of range: {d!r}") from None
 
 
 class SexNumber(_Record):
@@ -512,8 +528,7 @@ class SexNumber(_Record):
             try:
                 digits = bytes(digits)
             except (TypeError, ValueError):  # not an int in 0..255
-                bad = next(d for d in digits if not (isinstance(d, int) and 0 <= d < BASE))
-                raise ValueError(f"sexagesit out of range: {bad!r}") from None
+                _check_sexagesits(digits)
         if not 0 <= frac_count <= len(digits):
             if frac_count < 0:
                 raise ValueError("frac_count out of range")
@@ -603,26 +618,6 @@ class Expansion(_Record):
     terminates: bool
     frac_len: int | None
     complete: bool
-
-    def __init__(
-        self,
-        sign: int,
-        int_digits: tuple[int, ...],
-        frac_digits: tuple[int, ...],
-        period: tuple[int, ...],
-        base: int,
-        terminates: bool,
-        frac_len: int | None,
-        complete: bool,
-    ):
-        _setattr(self, "sign", sign)
-        _setattr(self, "int_digits", int_digits)
-        _setattr(self, "frac_digits", frac_digits)
-        _setattr(self, "period", period)
-        _setattr(self, "base", base)
-        _setattr(self, "terminates", terminates)
-        _setattr(self, "frac_len", frac_len)
-        _setattr(self, "complete", complete)
 
     @property
     def _style(self) -> dict:

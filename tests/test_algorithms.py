@@ -94,34 +94,38 @@ class TestHeronSqrt:
     )
     def test_convergence_properties(self, a, start_kind, precision):
         start = {"one": Fraction(1), "self": a, "default": _documented_start(a)}[start_kind]
-        eps = Fraction(1, 60**precision)
+        scale = 60**precision
 
-        # independent run of the recurrence, keeping every iterate and
-        # residual
-        cur, iterates, residuals = start, [], []
+        # independent run of the recurrence (cur + a/cur)/2 over unreduced
+        # integers, keeping every iterate p/q and residual |nxt - cur| as a
+        # (numerator, denominator) pair: with a = A/B, nxt = (Bp^2 + Aq^2) /
+        # 2Bpq, and cur = p/q is 2Bp^2 over that denominator.  No gcd is
+        # taken, and every comparison below is a cross-multiplication.
+        A, B = a.numerator, a.denominator
+        p, q = start.numerator, start.denominator
+        iterates, residuals = [], []
         for _ in range(200):
-            nxt = (cur + a / cur) / 2
-            iterates.append(nxt)
-            residuals.append(abs(nxt - cur))
-            cur = nxt
-            if residuals[-1] < eps:
+            p, q, cur_p = B * p * p + A * q * q, 2 * B * p * q, 2 * B * p * p
+            iterates.append((p, q))
+            residuals.append((abs(p - cur_p), q))
+            if residuals[-1][0] * scale < q:
                 break
         else:
             pytest.fail("oracle iteration did not converge")
 
         # overshoot: from the first iterate on, x_n^2 >= a (exact), compared
-        # as p^2 * B >= A * q^2 for x_n = p/q and a = A/B, which spares the
-        # gcds of a `Fraction` product
-        for x in iterates:
-            assert x.numerator**2 * a.denominator >= a.numerator * x.denominator**2
+        # as p^2 * B >= A * q^2 for x_n = p/q
+        for p, q in iterates:
+            assert p**2 * B >= A * q**2
 
         # residuals are eventually strictly decreasing
         tail = residuals[1:]
-        assert all(tail[i + 1] < tail[i] for i in range(len(tail) - 1) if tail[i] != 0)
+        assert all(n1 * d0 < n0 * d1 for (n0, d0), (n1, d1) in zip(tail, tail[1:]) if n0 != 0)
 
         result = heron_sqrt(a, None if start_kind == "default" else start, precision)
         assert result.iterations == len(residuals)
-        assert result.residual == residuals[-1]
+        n, d = residuals[-1]
+        assert result.residual.numerator * d == n * result.residual.denominator
 
         _assert_precision_contract(result, a, precision)
 

@@ -1,6 +1,7 @@
 """Rational parsing/arithmetic and exact base-60 / base-10 expansion."""
 
 import contextlib
+import inspect
 import itertools
 import math
 import random
@@ -21,6 +22,7 @@ from sexagesimal.exact import (
     _DC_BITS,
     _DEC_BLOCK,
     _DIV_BITS,
+    _Record,
     _digits_of_int,
     _divmod,
     _emit_digits,
@@ -320,6 +322,64 @@ class TestSexNumber:
     def test_invalid_forms_rejected(self, sign, digits, frac):
         with pytest.raises(ValueError):
             SexNumber(sign, digits, frac)
+
+
+class TestRecordConstructor:
+    """`_Record` writes the constructor of a class that annotates fields and
+    defines no ``__init__``; a record class made here, not the package's."""
+
+    class Pair(_Record):
+        left: int
+        right: str = "x"
+
+    def test_positional_keyword_and_default(self):
+        Pair = self.Pair
+        assert Pair(1, "y") == Pair(right="y", left=1) == Pair(1, right="y")
+        assert vars(Pair(1)) == {"left": 1, "right": "x"}
+        assert repr(Pair(1)).endswith("Pair(left=1, right='x')")
+        with pytest.raises(AttributeError, match="cannot assign to field 'left'"):
+            Pair(1).left = 2
+
+    def test_argument_errors(self):
+        with pytest.raises(TypeError, match=r"Pair\.__init__\(\) missing 1 required positional argument: 'left'$"):
+            self.Pair()
+        with pytest.raises(TypeError, match=r"Pair\.__init__\(\) got an unexpected keyword argument 'middle'$"):
+            self.Pair(1, middle=2)
+        with pytest.raises(TypeError, match=r"Pair\.__init__\(\) takes from 2 to 3 positional arguments but 4 were given$"):
+            self.Pair(1, "y", 3)
+
+    def test_match_args_and_signature(self):
+        Pair = self.Pair
+        assert Pair.__match_args__ == ("left", "right")
+        params = list(inspect.signature(Pair).parameters.values())
+        assert [(p.name, p.kind, p.default) for p in params] == [
+            ("left", inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty),
+            ("right", inspect.Parameter.POSITIONAL_OR_KEYWORD, "x"),
+        ]
+        match Pair(1, "y"):
+            case Pair(left, right):
+                assert (left, right) == (1, "y")
+
+    def test_subclass_fields_follow_the_parents(self):
+        class Triplet(self.Pair):
+            extra: tuple = ()
+
+        assert Triplet(1) == Triplet(1, "x", ()) and Triplet(1, extra=(2,)).extra == (2,)
+        assert tuple(inspect.signature(Triplet).parameters) == Triplet.__match_args__ == ("left", "right", "extra")
+
+    def test_subclass_without_annotations_keeps_the_parents_init(self):
+        class Number(SexNumber):
+            pass
+
+        class Other(self.Pair):
+            pass
+
+        assert Number.__init__ is SexNumber.__init__ and Other.__init__ is self.Pair.__init__
+        with pytest.raises(ValueError, match="^sign must be -1, 0 or 1, not 2$"):
+            Number(2, (1,), 0)
+        with pytest.raises(ValueError, match="^trailing zero fractional digit$"):
+            Number(1, (1, 0), 1)
+        assert type(Other(1)) is Other and Other(1) != self.Pair(1)
 
 
 def _longdiv(num, den, base=60, limit=500):
@@ -749,6 +809,12 @@ class TestDigitKernel:
                 padded = _digits_of_int(n, base, len(digits) + extra)
                 assert padded == [0] * extra + digits
                 assert _int_of_digits(padded, base) == n
+            if base == 60:
+                # SexNumber.from_int of -n and n: its value and its canonical text
+                for value in (-n, n):
+                    x = SexNumber.from_int(value)
+                    assert from_sexagesimal(x) == value
+                    assert x.canonical_text() == "-" * (value < 0) + ":".join(map(str, digits))
         assert _digits_of_int(0, base, 0) == []
         assert _int_of_digits([], base) == 0
 
