@@ -61,10 +61,11 @@ _UNBCD = bytes((b >> 4) * 10 + (b & 15) if b >> 4 < 6 and b & 15 < 10 else 255 f
 # them, leaving the bytes of ``raw`` that are out of range, in order
 _SEXAGESITS = bytes(range(BASE))
 
-# `_emit_digits` blocks: decimal digits per "%d" block (far below CPython's
-# int-string limit), and ASCII digits to digit values
+# `_emit_digits`: decimal digits per "%d" chunk (far below CPython's int-string
+# limit), ASCII digits to values, measured route cutoffs and the one-digit bound
 _DEC_BLOCK = 300
 _ASCII_TO_DIGIT = bytes.maketrans(_ASCII_DIGITS.encode(), bytes(range(10)))
+_LANE_BITS, _LONGDIV_DIGITS, _ONE_DIGIT = 96, 200, 1 << sys.int_info.bits_per_digit
 
 # `_int_of_digits` folds more digits than this as packed byte fields, in
 # leaves of `_FOLD_LEAF` digits; fewer take Horner's rule, which is faster
@@ -649,8 +650,9 @@ def _valuation(n: int, p: int, cap: int) -> tuple[int, int]:
     for the v it returns, not v.  They take `_divmod`, so they are
     subquadratic also where the builtin is not.  The squaring loop's last
     quotient is the first step down, so no power divides n twice."""
-    powers, top = [], n
-    q = p
+    if cap < 1 or n % p:
+        return 0, n
+    powers, top, q = [], n, p
     while 1 << len(powers) <= cap:
         quotient, r = _divmod(n, q)
         if r:
@@ -704,31 +706,39 @@ def _split_denominator(den: int, base: int) -> tuple[int, int]:
     return k, den
 
 
-def _emit_digits(walk: bytearray, r: int, den: int, base: int, n: int) -> int:
+def _emit_digits(walk: bytearray | list, r: int, den: int, base: int, n: int) -> int:
     """Append the next ``n`` digits of r/den (0 <= r < den) in ``base`` to
-    ``walk`` and return the remainder after them.
+    ``walk`` and return the remainder after them, by one of three routes:
 
-    Base 10 takes one quotient of up to `_DEC_BLOCK` digits per interpreter
-    step, written by ``"%d"``.  Every other base runs K = isqrt(n) + 1 long
-    divisions side by side, in byte-aligned fields of one integer (Lamport,
-    "Multiple byte processing with full-word instructions", CACM 1975):
-    field j starts at r * base**(j*S) mod den and yields digits j*S up to
-    (j+1)*S - 1, for S = ceil(n / K).  One step multiplies every field's
-    remainder by base and takes each field's digit from a fixed reciprocal
-    of den (Granlund & Montgomery, PLDI 1994), which is exact because the
-    field product stays below base * den; so S steps of big-int arithmetic
-    emit the n digits.
+    - per-digit long division outside base 10, up to `_LONGDIV_DIGITS` digits
+      with den * base < `_ONE_DIGIT`: the least set-up, one-digit ints only;
+    - else chunks, for base 10, fewer digits or a den over `_LANE_BITS`
+      bits: ``divmod(r * base**c, den)`` per c digits, spelled by ``"%d"``
+      (c = `_DEC_BLOCK`) or `_digits_of_int` (c digits of about bits(den)
+      bits, a balanced division), so time is near linear in n;
+    - else lanes: K = isqrt(n) + 1 long divisions side by side in byte
+      fields of one integer (Lamport, CACM 1975), field j yielding digits
+      j*S to (j+1)*S - 1 from r * base**(j*S) mod den, S = ceil(n / K), by
+      one fixed reciprocal of den (Granlund & Montgomery, PLDI 1994); a
+      field spans about 2 * bits(den) bits, hence the chunks past that.
     """
-    if base == 10:
-        block, power = _DEC_BLOCK, 10**_DEC_BLOCK
-        while n > 0:
-            if n < block:
-                block, power = n, 10**n
-            c, r = divmod(r * power, den)
-            walk += ("%0*d" % (block, c)).encode().translate(_ASCII_TO_DIGIT)
-            n -= block
+    if base != 10 and n <= _LONGDIV_DIGITS and den * base < _ONE_DIGIT:
+        for _ in range(n):
+            r *= base
+            walk.append(r // den)
+            r %= den
         return r
-    if n <= 0:
+    if base == 10 or n <= _LONGDIV_DIGITS or den.bit_length() > _LANE_BITS:
+        c = min(n, _DEC_BLOCK if base == 10 else max(_FOLD_LEAF, den.bit_length() // base.bit_length()))
+        div = _divmod if c * base.bit_length() > _DIV_BITS else divmod
+        power = base**c
+        while n > 0:
+            if n < c:
+                c, power = n, base**n
+            q, r = div(r * power, den)
+            walk += ((b"%0*d" % (c, q)).translate(_ASCII_TO_DIGIT) if base == 10
+                     else bytes(_digits_of_int(q, base, c)))
+            n -= c
         return r
     lanes = math.isqrt(n) + 1
     steps = -(-n // lanes)
@@ -738,8 +748,7 @@ def _emit_digits(walk: bytearray, r: int, den: int, base: int, n: int) -> int:
     width = -(-(shift + base.bit_length() + 2) // 8)  # bytes per field
     inv = -(-(1 << shift) // den)
     jump = pow(base, steps, den)
-    starts = bytearray()
-    lane = r
+    starts, lane = bytearray(), r
     for _ in range(lanes):
         starts += lane.to_bytes(width, "little")
         lane = lane * jump % den
@@ -795,29 +804,26 @@ def _repetend(rem: int, den: int, coprime: int, base: int, preperiod: int, max_f
     lowest terms, where ``coprime`` > 1 is the part of den coprime to
     ``base``.
 
-    The pre-period digits are one exact quotient; what follows is the purely
-    periodic u/coprime, whose period is the order of base modulo coprime.
-    Long division walks at most m = ceil(sqrt(min(bound - preperiod,
-    coprime - 1))) digits from u, one step each, and a period that closes
-    there comes back as walked.  A longer period's length comes from
-    `_order`, and its other digits from `_emit_digits`.  When pre-period
-    plus period would exceed `PERIOD_STATE_BOUND` digits the search gives
+    Past the pre-period comes the purely periodic u/coprime, whose period
+    is the order of base modulo coprime.  Long division walks at most m =
+    ceil(sqrt(min(bound - preperiod, coprime - 1))) digits from u, and a
+    period that closes there comes back as walked; a longer one's length
+    comes from `_order`.  Every other digit comes from `_emit_digits`.  Past
+    `PERIOD_STATE_BOUND` digits of pre-period plus period the search gives
     up, and the first min(max_frac, bound) digits come back unresolved.
     """
     bound = PERIOD_STATE_BOUND
     shown = min(max_frac, bound)
-    if preperiod >= bound:
-        # gives up within the pre-period: emit only the digits kept
-        return _digits_of_int(rem * base**shown // den, base, shown), (), False
-    head, start = divmod(rem * base**preperiod, den)
-    frac = _digits_of_int(head, base, preperiod)
+    frac = bytearray()  # digits of base <= 256 fit a byte each
+    start = _emit_digits(frac, rem, den, base, preperiod if preperiod < bound else shown)
+    if preperiod >= bound:  # gives up within the pre-period, with the digits kept
+        return frac, (), False
     # den's part made of base primes divides base**preperiod, hence start
     u = start // (den // coprime)
     limit = bound - preperiod
     # the period is below coprime, so a small coprime needs a shorter walk
     m = math.isqrt(min(limit, coprime - 1) - 1) + 1
-    walk = bytearray()  # digits of base <= 256 fit a byte each
-    r = u
+    walk, r = bytearray(), u
     for _ in range(m):
         d, r = divmod(r * base, coprime)
         walk.append(d)
@@ -825,9 +831,8 @@ def _repetend(rem: int, den: int, coprime: int, base: int, preperiod: int, max_f
             return frac, tuple(walk), True
     period = _order(base, coprime, m, limit)
     if period is None:
-        if shown > preperiod + m:
-            _emit_digits(walk, r, coprime, base, shown - preperiod - m)
-        return (frac + list(walk))[:shown], (), False
+        _emit_digits(walk, r, coprime, base, max(0, shown - preperiod - m))
+        return (frac + walk)[:shown], (), False
     _emit_digits(walk, r, coprime, base, period - m)
     return frac, tuple(walk), True
 
@@ -850,12 +855,8 @@ def _expand(x: Fraction, base: int, max_frac: int, detect_repetend: bool) -> Exp
         if detect_repetend:
             frac, period, complete = _repetend(rem, den, rest, base, preperiod, max_frac)
         else:
-            frac = []
-            while len(frac) < max_frac:
-                rem *= base
-                frac.append(rem // den)
-                rem %= den
-            complete = False
+            frac, complete = [], False
+            _emit_digits(frac, rem, den, base, max_frac)
 
     return Expansion(
         sign=sign,
@@ -919,13 +920,12 @@ def to_decimal(x: Fraction, max_frac: int = 64, detect_repetend: bool = True) ->
 
     When the expansion repeats and ``detect_repetend`` is set, the minimal
     repetend is found: the pre-period length comes from the denominator's
-    factors of 2 and 5, and the period's length is the multiplicative order
-    of 10 modulo the rest of the denominator, found by a short walk of long
-    division and then baby-step giant-step in O(sqrt(`PERIOD_STATE_BOUND`))
-    steps.  The digits past the walk are emitted 300 to a step, so time and
-    memory are otherwise linear in the digits emitted.  When pre-period plus
-    period would exceed `PERIOD_STATE_BOUND` digits the result is marked
-    incomplete and truncated at min(``max_frac``, bound) digits.
+    factors of 2 and 5, and the period's length is the order of 10 modulo
+    the rest of the denominator, by a short walk of long division and then
+    baby-step giant-step in O(sqrt(`PERIOD_STATE_BOUND`)) steps.  The other
+    digits come 300 to a quotient, in time and memory linear in the digits
+    emitted.  Past `PERIOD_STATE_BOUND` digits of pre-period plus period the
+    result is marked incomplete and truncated at min(``max_frac``, bound).
     """
     if max_frac < 0:
         raise DomainError("max_frac must be non-negative")

@@ -49,6 +49,16 @@ def assert_same_record(built, expected):
     assert copy.copy(built) == expected and copy.deepcopy(built) == expected
 
 
+def frac_stream(num, den, base, count):
+    """The first ``count`` fractional digits of num/den by long division."""
+    digits, rem = [], num % den
+    for _ in range(count):
+        rem *= base
+        digits.append(rem // den)
+        rem %= den
+    return digits
+
+
 def run_python(args, timeout):
     """Run a fresh interpreter on ``args`` with the package under test on its
     path. A run still going after ``timeout`` seconds is killed and raises
@@ -61,4 +71,6 @@ def run_python(args, timeout):
     )
 
 
-__all__ = ["sex_numbers", "rationals", "nonzero_rationals", "assert_same_record", "run_python", "Fraction"]
+__all__ = [
+    "sex_numbers", "rationals", "nonzero_rationals", "assert_same_record", "frac_stream", "run_python", "Fraction",
+]

@@ -9,9 +9,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import run_python
+from conftest import frac_stream, run_python
 from sexagesimal import exact
 from sexagesimal.cli import main
+from sexagesimal.glyphs import DEFAULT_TABLE
 
 DATA = Path(__file__).parent / "data" / "cli"
 
@@ -181,6 +182,35 @@ def test_cli_import_skips_typing():
     code = "import sys, sexagesimal.cli; print('typing' in sys.modules)"
     proc = run_python(["-S", "-c", code], timeout=20)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+
+class TestWideDenominator:
+    # 1/D for D = 7 * (60**k - 1) repeats with a period of 7k sexagesits, the
+    # first k of them 0.  Each lane of the base-60 digit emitter spans about
+    # 2 * bits(D) bits, so these took 2.5-8 s end to end; chunked quotients
+    # take a fraction of a second.
+    @pytest.mark.parametrize(
+        "k, argv",
+        [(3000, ["--from", "canonical"]), (2400, ["--to", "glyph"])],
+        ids=["canonical-input", "decimal-input"],
+    )
+    def test_period_within_deadline(self, k, argv):
+        den = 7 * (60**k - 1)
+        # 7 * 60**k - 7 is 6, then k - 1 digits 59, then 53; 2400 gives a
+        # 4269-digit decimal, within the int-string limit
+        operand = "6" + ":59" * (k - 1) + ":53" if "canonical" in argv else str(den)
+        proc = run_python(["-m", "sexagesimal", "arith", *argv, "div", "1", operand], timeout=2)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.startswith("0;(") and proc.stdout.endswith(")\n")
+        text = proc.stdout[3:-2]
+        if "canonical" in argv:
+            period = [int(token) for token in text.split(":")]
+        else:
+            period = [DEFAULT_TABLE.value(glyph) for glyph in text]
+        assert len(period) == 7 * k
+        assert period[: k + 6] == frac_stream(1, den, 60, k + 6)
+        # the last six digits start at remainder 60**(period - 6) = 60**-6 mod D
+        assert period[-6:] == frac_stream(pow(60, -6, den), den, 60, 6)
 
 
 def test_sqrt_of_small_value_finishes():

@@ -14,7 +14,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import nonzero_rationals, rationals, run_python, sex_numbers
+from conftest import frac_stream, nonzero_rationals, rationals, run_python, sex_numbers
 from sexagesimal import exact
 from sexagesimal.errors import quote
 from sexagesimal.exact import (
@@ -22,6 +22,9 @@ from sexagesimal.exact import (
     _DC_BITS,
     _DEC_BLOCK,
     _DIV_BITS,
+    _LANE_BITS,
+    _LONGDIV_DIGITS,
+    _ONE_DIGIT,
     _Record,
     _digits_of_int,
     _divmod,
@@ -396,16 +399,6 @@ def _longdiv(num, den, base=60, limit=500):
     return digits[:start], digits[start:]
 
 
-def _frac_stream(num, den, base, count):
-    """The first ``count`` fractional digits of num/den by long division."""
-    digits, rem = [], num % den
-    for _ in range(count):
-        rem *= base
-        digits.append(rem // den)
-        rem %= den
-    return digits
-
-
 @st.composite
 def _periodic_cases(draw):
     # max_frac one either side of pre-period + k periods
@@ -569,9 +562,9 @@ class TestRounding:
         lines = proc.stdout.splitlines()
         assert len(lines) == 3
         q, r = divmod(60**18, 999983)
-        head = [0] + _frac_stream(1, 999983, 60, 7)
+        head = [0] + frac_stream(1, 999983, 60, 7)
         for line, up in zip(lines, (False, 2 * r >= 999983, 2 * r > 999983)):
-            tail = _frac_stream(q + up, 60**18, 60, 18)[-8:]
+            tail = frac_stream(q + up, 60**18, 60, 18)[-8:]
             assert [int(d) for d in line.split()] == [10**6, *head, *tail]
 
 
@@ -1006,7 +999,7 @@ class TestPeriodStateBound:
                     else:
                         assert not info.complete and info.period == ()
                         shown = min(max_frac, bound)
-                        assert info.frac_digits == tuple(_frac_stream(num, den, base, shown))
+                        assert info.frac_digits == tuple(frac_stream(num, den, base, shown))
                         assert str(info).endswith("...")
 
     def test_preperiod_alone_reaches_bound(self, monkeypatch):
@@ -1071,16 +1064,18 @@ class TestOrder:
 
 
 class TestEmitDigits:
-    # one block is _DEC_BLOCK decimal digits; 3 * block + 2 crosses two block
-    # boundaries and leaves a short last block.  Base 60 runs isqrt(n) + 1
-    # lanes, and its n of up to 14 give two to four of them.
-    @pytest.mark.parametrize("base, block", [(10, _DEC_BLOCK), (60, 4)])
+    # base 10 takes chunks of _DEC_BLOCK digits: 3 * edge + 2 crosses two
+    # chunk boundaries and leaves a short last chunk.  In base 60, n of up to
+    # 14 take per-digit long division over a one-digit den and a chunk over
+    # 2**70 * 3 * 7 + 1; 1000 take the lanes; and every n over 10**40 + 1,
+    # wider than _LANE_BITS, takes chunks of 64 digits.
+    @pytest.mark.parametrize("base, edge", [(10, _DEC_BLOCK), (60, 4)])
     @pytest.mark.parametrize("num, den", [(1, 7), (5, 97), (3, 2**70 * 3 * 7 + 1), (10**39, 10**40 + 1), (1, 2**9)])
-    def test_against_long_division(self, base, block, num, den):
-        for n in sorted({0, 1, block - 1, block, block + 1, 3 * block + 2, 1000}):
+    def test_against_long_division(self, base, edge, num, den):
+        for n in sorted({0, 1, edge - 1, edge, edge + 1, 3 * edge + 2, 1000}):
             walk = bytearray([99])  # digits are appended after what is there
             r = _emit_digits(walk, num, den, base, n)
-            assert list(walk) == [99] + _frac_stream(num, den, base, n), n
+            assert list(walk) == [99] + frac_stream(num, den, base, n), n
             assert r == num * pow(base, n, den) % den
 
     @pytest.mark.parametrize("base", [10, 60])
@@ -1091,6 +1086,37 @@ class TestEmitDigits:
         assert _emit_digits(walk, 1, den, base, len(period)) == 1
         assert not pre and tuple(walk) == tuple(period)
 
+    # a chunk of c digits, c = max(64, bits(den) // 6) in base 60: c - 1 and
+    # c take one quotient, c + 1 a second and 2c + 1 a third, short one; in
+    # base 60 at 4100 and 18k bits each quotient passes _DIV_BITS and takes
+    # _divmod
+    @pytest.mark.parametrize("base", [10, 60])
+    @pytest.mark.parametrize("bits", [100, 512, 4100, 18_000])
+    def test_chunk_edges(self, base, bits):
+        rng = random.Random(bits)
+        den = rng.getrandbits(bits) | 1 << (bits - 1) | 1
+        r = rng.randrange(den)
+        c = _DEC_BLOCK if base == 10 else max(64, bits // 6)
+        stream = frac_stream(r, den, base, 2 * c + 1)
+        for n in (c - 1, c, c + 1, 2 * c + 1):
+            walk = bytearray([99])
+            assert _emit_digits(walk, r, den, base, n) == r * pow(base, n, den) % den
+            assert list(walk) == [99] + stream[:n], n
+
+    # a den either side of the widest that per-digit long division takes
+    # (den * base < _ONE_DIGIT) and of the widest the lanes take, with n
+    # either side of the most digits per-digit long division emits
+    @pytest.mark.parametrize("base", [7, 60, 256])
+    def test_either_side_of_the_cutoffs(self, base):
+        widest = (_ONE_DIGIT - 1) // base
+        for den in (widest, widest + 1, 2**_LANE_BITS - 1, 2**_LANE_BITS + 1):
+            r = random.Random(den).randrange(den)
+            stream = frac_stream(r, den, base, 2 * _LONGDIV_DIGITS)
+            for n in (1, _LONGDIV_DIGITS - 1, _LONGDIV_DIGITS, _LONGDIV_DIGITS + 1, 2 * _LONGDIV_DIGITS):
+                walk = bytearray()
+                assert _emit_digits(walk, r, den, base, n) == r * pow(base, n, den) % den
+                assert list(walk) == stream[:n], (den, n)
+
 
 def _lane_edges(k):
     # K = k lanes serve n in [(k-1)**2, k*k - 1], with S = ceil(n / K) steps:
@@ -1100,9 +1126,11 @@ def _lane_edges(k):
 
 
 class TestEmitLanes:
-    # every base but 10 runs isqrt(n) + 1 long divisions side by side in the
-    # fields of one integer; field widths follow den and base, so cover
-    # byte-sized and 256-ary digits, one-limb and many-limb denominators
+    # past _LONGDIV_DIGITS digits every base but 10 runs isqrt(n) + 1 long
+    # divisions side by side in the fields of one integer, for a den of up to
+    # _LANE_BITS bits; field widths follow den and base, so cover byte-sized
+    # and 256-ary digits.  The same draws reach per-digit long division and
+    # chunks, for fewer digits and for wider dens.
     @given(
         st.sampled_from([2, 7, 60, 256]),
         st.one_of(st.integers(1, 2**64), st.integers(2**64, 2**200)),
@@ -1113,7 +1141,7 @@ class TestEmitLanes:
         r = data.draw(st.integers(0, den - 1), label="r")
         walk = bytearray([7, 7])
         rest = _emit_digits(walk, r, den, base, n)
-        assert list(walk) == [7, 7] + _frac_stream(r, den, base, n)
+        assert list(walk) == [7, 7] + frac_stream(r, den, base, n)
         assert rest == r * pow(base, n, den) % den
 
     # a den sharing a prime with base lets r * base be an exact multiple of
@@ -1126,7 +1154,7 @@ class TestEmitLanes:
         for n in (1, 2, 9, 100):
             walk = bytearray()
             assert _emit_digits(walk, r, den, base, n) == r * pow(base, n, den) % den
-            assert list(walk) == _frac_stream(r, den, base, n)
+            assert list(walk) == frac_stream(r, den, base, n)
 
     def test_base_sixty_period_within_deadline(self):
         # 1/999983 has a 999982-sexagesit period.  One 60**4 quotient per
@@ -1137,9 +1165,9 @@ class TestEmitLanes:
         assert sixty <= 3.5 * ten
         info = to_sexagesimal(x, 8, detect_repetend=True)[1]
         assert len(info.period) == 999982
-        assert info.period[:6] == tuple(_frac_stream(1, 999983, 60, 6))
+        assert info.period[:6] == tuple(frac_stream(1, 999983, 60, 6))
         # the last six digits start at remainder 60**(period - 6) = 60**-6 mod 999983
-        assert info.period[-6:] == tuple(_frac_stream(pow(60, -6, 999983), 999983, 60, 6))
+        assert info.period[-6:] == tuple(frac_stream(pow(60, -6, 999983), 999983, 60, 6))
 
 
 class TestRepetendRoutes:
@@ -1173,7 +1201,7 @@ class TestRepetendRoutes:
             assert info.complete and (info.frac_digits, info.period) == (tuple(pre), tuple(period))
         else:
             assert not info.complete and info.period == ()
-            assert info.frac_digits == tuple(_frac_stream(num, den, base, min(max_frac, bound)))
+            assert info.frac_digits == tuple(frac_stream(num, den, base, min(max_frac, bound)))
 
     # an order of m - 1 or m closes within the walk, m + 1 goes through
     # _order; the old m of ceil(sqrt(bound)) walked all three
@@ -1217,8 +1245,8 @@ class TestRepetendRoutes:
         elapsed, complete60, complete10 = head.split()
         assert float(elapsed) < 2.0
         assert complete60 == complete10 == "False"
-        assert [int(d) for d in digits60.split()] == _frac_stream(1, 30_000_023, 60, 64)
-        assert [int(d) for d in digits10.split()] == _frac_stream(1, 30_000_023, 10, 64)
+        assert [int(d) for d in digits60.split()] == frac_stream(1, 30_000_023, 60, 64)
+        assert [int(d) for d in digits10.split()] == frac_stream(1, 30_000_023, 10, 64)
 
 
 def _naive_text(info):
