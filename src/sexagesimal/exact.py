@@ -30,8 +30,8 @@ ROUNDING_MODES = (TRUNC, HALF_UP, HALF_EVEN)
 # Repetend detection gives up when the pre-period plus the period would be
 # longer than this many digits (that is, when long division would visit more
 # than this many distinct remainders).  Read at call time.  Deciding costs
-# about 3 * sqrt(bound) steps, not one per digit: a short walk plus a
-# baby-step giant-step search for the period's length (see `_repetend`).
+# about 2 * sqrt(bound) products, not one per digit: a baby-step giant-step
+# search for the period's length (see `_order`).
 PERIOD_STATE_BOUND = 10**6
 
 # Operands of more than this many bits are converted from int to digits by
@@ -706,9 +706,9 @@ def _split_denominator(den: int, base: int) -> tuple[int, int]:
     return k, den
 
 
-def _emit_digits(walk: bytearray | list, r: int, den: int, base: int, n: int) -> int:
+def _emit_digits(out: bytearray | list, r: int, den: int, base: int, n: int) -> int:
     """Append the next ``n`` digits of r/den (0 <= r < den) in ``base`` to
-    ``walk`` and return the remainder after them, by one of three routes:
+    ``out`` and return the remainder after them, by one of three routes:
 
     - per-digit long division outside base 10, up to `_LONGDIV_DIGITS` digits
       with den * base < `_ONE_DIGIT`: the least set-up, one-digit ints only;
@@ -725,7 +725,7 @@ def _emit_digits(walk: bytearray | list, r: int, den: int, base: int, n: int) ->
     if base != 10 and n <= _LONGDIV_DIGITS and den * base < _ONE_DIGIT:
         for _ in range(n):
             r *= base
-            walk.append(r // den)
+            out.append(r // den)
             r %= den
         return r
     if base == 10 or n <= _LONGDIV_DIGITS or den.bit_length() > _LANE_BITS:
@@ -736,7 +736,7 @@ def _emit_digits(walk: bytearray | list, r: int, den: int, base: int, n: int) ->
             if n < c:
                 c, power = n, base**n
             q, r = div(r * power, den)
-            walk += ((b"%0*d" % (c, q)).translate(_ASCII_TO_DIGIT) if base == 10
+            out += ((b"%0*d" % (c, q)).translate(_ASCII_TO_DIGIT) if base == 10
                      else bytes(_digits_of_int(q, base, c)))
             n -= c
         return r
@@ -757,38 +757,41 @@ def _emit_digits(walk: bytearray | list, r: int, den: int, base: int, n: int) ->
     # shifted-in low bits of the next field
     mask = int.from_bytes(((1 << base.bit_length()) - 1).to_bytes(width, "little") * lanes, "little")
     size = lanes * width
-    # grow walk in place to its lanes' end, since every byte there is written
+    # grow ``out`` in place to its lanes' end, since every byte there is written
     # below: a zero-filled n-byte temporary left the heap where a period's
     # tuple goes split, and raised peak RSS by up to 8 MB at 10**6 digits
-    at, end = len(walk), len(walk) + lanes * steps
-    walk.append(0)
-    while len(walk) < end:
-        walk *= 2
-    del walk[end:]
+    at, end = len(out), len(out) + lanes * steps
+    out.append(0)
+    while len(out) < end:
+        out *= 2
+    del out[end:]
     for i in range(steps):
         x = rem * base
         d = (x * inv >> shift) & mask
         rem = x - d * den
         # a digit < base <= 256 is the low byte of its field
-        walk[at + i :: steps] = d.to_bytes(size, "little")[::width]
-    del walk[at + n :]
+        out[at + i :: steps] = d.to_bytes(size, "little")[::width]
+    del out[at + n :]
     return r * pow(base, n, den) % den
 
 
 def _order(base: int, t: int, m: int, limit: int) -> int | None:
     """The multiplicative order of ``base`` modulo ``t`` (coprime to base),
     or None when it exceeds ``limit``, by baby-step giant-step (Shanks) with
-    ``m`` >= 1 baby steps: about m + limit / m products mod t.
+    at most ``m`` >= 1 baby steps: about m + limit / m products mod t.
 
-    The baby steps map base**j mod t to j for j < m, keeping the largest j
-    when an order below m repeats a value.  The first giant step base**(i*m)
-    found among them, at i = ceil(order / m), gives the order i*m - j.
+    The baby steps map base**j mod t to j for j < m, and stop at the order
+    when it is at most m, after that many products.  Otherwise their values
+    are distinct, and the first giant step base**(i*m) found among them, at
+    i = ceil(order / m), gives the order i*m - j.
     """
     baby = {}
-    y = 1 % t
+    y = one = 1 % t
     for j in range(m):
         baby[y] = j
         y = y * base % t
+        if y == one:
+            return j + 1 if j < limit else None
     giant = y
     for i in range(1, limit // m + 2):
         j = baby.get(y)
@@ -805,12 +808,11 @@ def _repetend(rem: int, den: int, coprime: int, base: int, preperiod: int, max_f
     ``base``.
 
     Past the pre-period comes the purely periodic u/coprime, whose period
-    is the order of base modulo coprime.  Long division walks at most m =
-    ceil(sqrt(min(bound - preperiod, coprime - 1))) digits from u, and a
-    period that closes there comes back as walked; a longer one's length
-    comes from `_order`.  Every other digit comes from `_emit_digits`.  Past
-    `PERIOD_STATE_BOUND` digits of pre-period plus period the search gives
-    up, and the first min(max_frac, bound) digits come back unresolved.
+    is the order of base modulo coprime: `_order` finds its length with m =
+    ceil(sqrt(min(bound - preperiod, coprime - 1))) baby steps, and
+    `_emit_digits` makes every digit.  Past `PERIOD_STATE_BOUND` digits of
+    pre-period plus period the search gives up, and the first min(max_frac,
+    bound) digits come back unresolved.
     """
     bound = PERIOD_STATE_BOUND
     shown = min(max_frac, bound)
@@ -821,20 +823,15 @@ def _repetend(rem: int, den: int, coprime: int, base: int, preperiod: int, max_f
     # den's part made of base primes divides base**preperiod, hence start
     u = start // (den // coprime)
     limit = bound - preperiod
-    # the period is below coprime, so a small coprime needs a shorter walk
+    # the period is below coprime, so a small coprime needs fewer baby steps
     m = math.isqrt(min(limit, coprime - 1) - 1) + 1
-    walk, r = bytearray(), u
-    for _ in range(m):
-        d, r = divmod(r * base, coprime)
-        walk.append(d)
-        if r == u:
-            return frac, tuple(walk), True
     period = _order(base, coprime, m, limit)
     if period is None:
-        _emit_digits(walk, r, coprime, base, max(0, shown - preperiod - m))
-        return (frac + walk)[:shown], (), False
-    _emit_digits(walk, r, coprime, base, period - m)
-    return frac, tuple(walk), True
+        _emit_digits(frac, u, coprime, base, max(0, shown - preperiod))
+        return frac[:shown], (), False
+    out = bytearray()
+    _emit_digits(out, u, coprime, base, period)
+    return frac, tuple(out), True
 
 
 def _expand(x: Fraction, base: int, max_frac: int, detect_repetend: bool) -> Expansion:
@@ -921,8 +918,8 @@ def to_decimal(x: Fraction, max_frac: int = 64, detect_repetend: bool = True) ->
     When the expansion repeats and ``detect_repetend`` is set, the minimal
     repetend is found: the pre-period length comes from the denominator's
     factors of 2 and 5, and the period's length is the order of 10 modulo
-    the rest of the denominator, by a short walk of long division and then
-    baby-step giant-step in O(sqrt(`PERIOD_STATE_BOUND`)) steps.  The other
+    the rest of the denominator, by baby-step giant-step in
+    O(sqrt(`PERIOD_STATE_BOUND`)) products, fewer for a short period.  The
     digits come 300 to a quotient, in time and memory linear in the digits
     emitted.  Past `PERIOD_STATE_BOUND` digits of pre-period plus period the
     result is marked incomplete and truncated at min(``max_frac``, bound).

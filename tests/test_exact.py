@@ -209,6 +209,10 @@ class TestParseDecimalAgainstScanner:
         with _int_max_str_digits(limit):
             self._check("".join(t) for n in range(6) for t in itertools.product(alphabet, repeat=n))
 
+    # a static method: a parametrized @given method is called with a new
+    # self per parameter, which Hypothesis's differing_executors health
+    # check refuses wherever its pytest plugin does not suppress it
+    @staticmethod
     @pytest.mark.parametrize("limit", _STR_DIGIT_LIMITS)
     @given(
         st.one_of(
@@ -217,9 +221,9 @@ class TestParseDecimalAgainstScanner:
             st.text(max_size=12),
         )
     )
-    def test_random_texts(self, limit, text):
+    def test_random_texts(limit, text):
         with _int_max_str_digits(limit):
-            self._check([text])
+            TestParseDecimalAgainstScanner._check([text])
 
     @pytest.mark.parametrize("limit", _STR_DIGIT_LIMITS)
     def test_around_the_int_string_limit(self, limit):
@@ -1028,6 +1032,17 @@ def _brute_order(base, t):
     return k
 
 
+class _Counting(int):
+    """An int base that counts the products ``y * base`` taken with it; a
+    product with it as the right operand is a plain int."""
+
+    products = 0
+
+    def __rmul__(self, other):
+        self.products += 1
+        return int(other) * int(self)
+
+
 class TestOrder:
     # base-coprime moduli up to 3 * 10**4; limits at the order, one either
     # side of it, and anywhere up to twice it
@@ -1046,7 +1061,7 @@ class TestOrder:
     @pytest.mark.parametrize(
         "base, t, m, order",
         [
-            (10, 2591, 1000, 259),  # order below m: the largest colliding j, not 3 * 259
+            (10, 2591, 1000, 259),  # order below m: the baby steps end there, not at 3 * 259
             (10, 2591, 258, 259),  # order m + 1
             (10, 2591, 259, 259),  # order m
             (10, 7, 5, 6),
@@ -1061,6 +1076,14 @@ class TestOrder:
         assert _order(base, t, m, order) == order
         assert _order(base, t, m, order + 1) == order
         assert _order(base, t, m, order - 1) is None
+
+    # an order far below m ends the baby steps at the order: 60 has order 3
+    # modulo 7, and order 1 modulo 59 and modulo 1
+    @pytest.mark.parametrize("t, order", [(7, 3), (59, 1), (1, 1)])
+    def test_baby_steps_end_at_the_order(self, t, order):
+        base = _Counting(60)
+        assert _order(base, t, 10**4, 10**6) == order
+        assert base.products == order
 
 
 class TestEmitDigits:
@@ -1171,10 +1194,11 @@ class TestEmitLanes:
 
 
 class TestRepetendRoutes:
-    # the short walk takes periods up to m = ceil(sqrt(min(bound - preperiod,
-    # t - 1))), for t the part of den coprime to base; longer ones go through
-    # _order and _emit_digits: both must agree with long division on either
-    # side of m and of the bound
+    # _order's baby steps end at a period of up to m = ceil(sqrt(min(bound -
+    # preperiod, t - 1))), for t the part of den coprime to base; a longer
+    # one takes m baby steps and giant steps; either way _emit_digits makes
+    # the digits, which must agree with long division on either side of m
+    # and of the bound
     @given(
         st.sampled_from([10, 60]),
         st.integers(1, 3_000),
@@ -1203,8 +1227,9 @@ class TestRepetendRoutes:
             assert not info.complete and info.period == ()
             assert info.frac_digits == tuple(frac_stream(num, den, base, min(max_frac, bound)))
 
-    # an order of m - 1 or m closes within the walk, m + 1 goes through
-    # _order; the old m of ceil(sqrt(bound)) walked all three
+    # the walk is _order's baby steps, m = ceil(sqrt(t - 1)) of them at most
+    # by the denominator, not the bound: an order of m - 1 or m ends them at
+    # the order, and m + 1 takes all m and giant steps
     @pytest.mark.parametrize(
         "base, t, order",
         [(10, 73, 8), (10, 81, 9), (10, 387, 21), (60, 403, 20), (60, 3481, 59), (60, 131, 13)],
@@ -1220,7 +1245,10 @@ class TestRepetendRoutes:
         pre, period = _longdiv(1, t * cofactor, base, limit=10**4)
         assert info.complete and (info.frac_digits, info.period) == (tuple(pre), tuple(period))
         assert len(period) == order
-        assert bool(searched) == (order > m)
+        (args,) = searched
+        assert args[:3] == (base, t, m)
+        counting = _Counting(base)
+        assert _order(counting, *args[1:]) == order and counting.products == min(order, m)
 
     def test_give_up_past_a_raised_bound_within_deadline(self):
         # 30000023 is a full-reptend prime in base 10 and base 60: its period
