@@ -20,9 +20,8 @@ from .exact import (
     _rational,
     _Record,
     _round_to,
-    _setattr,
     _split_denominator,
-    _valuation,
+    _valuations_235,
     int_sqrt,
 )
 from .floating import SexFloat, _magnitude_exponent
@@ -59,10 +58,8 @@ class Triple(_Record):
     b: int
     d: int
 
-    def __init__(self, a: int, b: int, d: int):
-        _setattr(self, "a", a)
-        _setattr(self, "b", b)
-        _setattr(self, "d", d)
+    def _check(self):
+        a, b, d = self.a, self.b, self.d
         if not 0 < a <= b < d:
             raise ValueError("sides must satisfy 0 < a <= b < d")
         if a**2 + b**2 != d**2:
@@ -84,23 +81,18 @@ class PlimptonRow(_Record):
     a: int
     d: int
 
-    def __init__(self, index: int, ratio_digits: SexNumber, a: int, d: int):
-        _setattr(self, "index", index)
-        _setattr(self, "ratio_digits", ratio_digits)
-        _setattr(self, "a", a)
-        _setattr(self, "d", d)
-        if not 1 <= index <= 15:
+    def _check(self):
+        a, d = self.a, self.d
+        if not 1 <= self.index <= 15:
             raise ValueError("row index must be in 1..15")
         if not 0 < a < d:
             raise ValueError("require 0 < a < d")
-        root, perfect = int_sqrt(d**2 - a**2)
-        if not perfect:
+        if not int_sqrt(d**2 - a**2)[1]:
             raise ValueError("d^2 - a^2 is not a perfect square")
-        _setattr(self, "_b", root)
 
     @property
     def b(self) -> int:
-        return self._b
+        return math.isqrt(self.d**2 - self.a**2)
 
     @property
     def triple(self) -> Triple:
@@ -170,11 +162,8 @@ def heron_sqrt(
     else:
         residual = _coprime_fraction(*_lowest_terms(abs(aqq - bpp), den, common))
     number = _round_to(_coprime_fraction(*_lowest_terms(bpp + aqq, den, common)), precision)
-    if number.is_zero:
-        value = SexFloat.zero(precision)
-    else:
-        int_width = 0 if number.int_digits == (0,) else len(number.int_digits)
-        value = SexFloat.from_sex_number(number, precision=int_width + precision)
+    int_width = 0 if number.int_digits == (0,) else len(number.int_digits)
+    value = SexFloat.from_sex_number(number, precision=int_width + precision)
     return HeronResult(value=value, iterations=iterations, residual=residual)
 
 
@@ -241,16 +230,12 @@ def nontrivial_divisors(n: int) -> list[int]:
 
 def is_regular(n: int) -> Regularity:
     """Whether n = 2^a * 3^b * 5^c; exactly these denominators give
-    terminating base-60 expansions.
-
-    As in `_split_denominator`, the power of 2 is n's lowest set bit, and
-    those of 3 and 5 come from `_valuation`'s O(log e) big divisions, not
-    one division per power, which is quadratic in n's length."""
+    terminating base-60 expansions.  The exponents come from
+    `_valuations_235`, uncapped."""
     if n < 1:
         raise DomainError("n must be at least 1")
-    a = (n & -n).bit_length() - 1
-    b, n = _valuation(n >> a, 3, n.bit_length())
-    c, n = _valuation(n, 5, n.bit_length())
+    cap = n.bit_length()
+    a, b, c, n = _valuations_235(n, cap, cap, cap)
     return Regularity(n == 1, a, b, c, n)
 
 

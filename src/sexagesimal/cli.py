@@ -40,19 +40,6 @@ from .glyphs import DEFAULT_TABLE, decode_canonical, decode_glyphs
 
 NOTATIONS = ("decimal", "canonical", "glyph")
 
-# the module a diagnostic names, unless the error carries its own ``origin``
-# (the parse errors do)
-_COMMAND_ORIGIN = {
-    "convert": "exact",
-    "arith": "exact",
-    "sqrt": "algorithms",
-    "area": "algorithms",
-    "epsilon": "floating",
-    "divisors": "algorithms",
-    "plimpton": "algorithms",
-    "constants": "constants",
-}
-
 
 def _parse_value(text: str, notation: str) -> Rational:
     if notation == "decimal":
@@ -101,35 +88,42 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="output notation (default canonical)")
 
     p = sub.add_parser("convert", help="convert a number between notations")
+    p.set_defaults(run=_cmd_convert, origin="exact")
     common(p)
     p.add_argument("value")
 
     p = sub.add_parser("arith", help="exact rational arithmetic")
+    p.set_defaults(run=_cmd_arith, origin="exact")
     common(p)
     p.add_argument("op", choices=("add", "sub", "mul", "div"))
     p.add_argument("x")
     p.add_argument("y")
 
     p = sub.add_parser("sqrt", help="square root by Heron's iteration")
+    p.set_defaults(run=_cmd_sqrt, origin="algorithms")
     common(p)
     p.add_argument("--start", metavar="X0", help="starting guess (same notation as input)")
     p.add_argument("value")
 
     p = sub.add_parser("area", help="triangle area from three sides (Heron)")
+    p.set_defaults(run=_cmd_area, origin="algorithms")
     common(p)
     p.add_argument("a")
     p.add_argument("b")
     p.add_argument("c")
 
     p = sub.add_parser("epsilon", help="machine epsilon 60^-P")
+    p.set_defaults(run=_cmd_epsilon, origin="floating")
     p.add_argument("--p", type=_precision, default=8, metavar="N",
                    help="mantissa length (1..64, default 8)")
 
     p = sub.add_parser("divisors", help="nontrivial divisors and regularity")
+    p.set_defaults(run=_cmd_divisors, origin="algorithms")
     p.add_argument("--format", choices=("human", "machine"), default="human")
     p.add_argument("n", type=int)
 
     p = sub.add_parser("plimpton", help="reconstruct the embedded Plimpton 322 table")
+    p.set_defaults(run=_cmd_plimpton, origin="algorithms")
     p.add_argument("--check", action="store_true",
                    help="reconstruct and diff all 15 rows (the default action)")
     p.add_argument("--ratio", choices=(RATIO_DIAGONAL, RATIO_SHORT), default=RATIO_DIAGONAL,
@@ -139,6 +133,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="emit the triple generated by (P, Q) instead")
 
     p = sub.add_parser("constants", help="verify the embedded constants table")
+    p.set_defaults(run=_cmd_constants, origin="constants")
     p.add_argument("--format", choices=("human", "machine"), default="human")
     p.add_argument("--encode", metavar="VALUE",
                    help="encode a decimal value in scientific glyph notation instead")
@@ -263,27 +258,17 @@ def _cmd_constants(args) -> tuple[str, int]:
     return render_report(verify_table(), machine=args.format == "machine"), 0
 
 
-_COMMANDS = {
-    "convert": _cmd_convert,
-    "arith": _cmd_arith,
-    "sqrt": _cmd_sqrt,
-    "area": _cmd_area,
-    "epsilon": _cmd_epsilon,
-    "divisors": _cmd_divisors,
-    "plimpton": _cmd_plimpton,
-    "constants": _cmd_constants,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     for stream in (sys.stdout, sys.stderr):
         if hasattr(stream, "reconfigure"):
             stream.reconfigure(encoding="utf-8")
     try:
-        output, code = _COMMANDS[args.command](args)
+        output, code = args.run(args)
     except SexagesimalError as exc:
-        origin = getattr(exc, "origin", _COMMAND_ORIGIN[args.command])
+        # the module a diagnostic names, unless the error carries its own
+        # ``origin`` (the parse errors do)
+        origin = getattr(exc, "origin", args.origin)
         print(f"sexagesimal {args.command}: error ({origin}): {exc}", file=sys.stderr)
         return 1
     sys.stdout.write(output)

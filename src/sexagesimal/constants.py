@@ -12,7 +12,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .errors import DomainError
-from .exact import TRUNC, _diff_digits, _digits_of_int, _int_of_digits, _rational, _Record, _render, _setattr, parse_decimal
+from .exact import TRUNC, _diff_digits, _digits_of_int, _int_of_digits, _rational, _Record, _render, parse_decimal
 from .floating import normalize_float
 from .glyphs import DEFAULT_TABLE, GlyphTable, UnknownGlyphError, _decode_raw, _read_tsv
 
@@ -32,24 +32,8 @@ class ConstantEntry(_Record):
     reference_value: Fraction
     reference_source: str
 
-    def __init__(
-        self,
-        name: str,
-        symbol: str,
-        glyphs: str,
-        exponent_glyphs: str | None,
-        unit: str,
-        reference_value: Fraction,
-        reference_source: str,
-    ):
-        _setattr(self, "name", name)
-        _setattr(self, "symbol", symbol)
-        _setattr(self, "glyphs", glyphs)
-        _setattr(self, "exponent_glyphs", exponent_glyphs)
-        _setattr(self, "unit", unit)
-        _setattr(self, "reference_value", reference_value)
-        _setattr(self, "reference_source", reference_source)
-        if reference_value <= 0:
+    def _check(self):
+        if self.reference_value <= 0:
             raise ValueError("reference value must be positive")
 
 

@@ -395,7 +395,10 @@ class _Record:
     are also the positional ``match`` arguments, unless the subclass
     names its own ``__match_args__``.  A subclass of a record keeps its
     parent's fields, followed by any it annotates itself; if it annotates
-    some and defines no ``__init__``, `_field_init` writes one."""
+    some and defines no ``__init__``, `_field_init` writes one.  A record
+    whose fields obey rules states them in a ``_check`` method, which reads
+    the fields set and raises on a bad one; the written ``__init__`` calls
+    it last, and `_build` does not."""
 
     def __init_subclass__(cls):
         super().__init_subclass__()
@@ -445,11 +448,14 @@ class _Record:
 def _field_init(cls):
     """``__init__(self, f1, ..., fn)`` over ``cls._fields``, compiled once:
     one `_setattr` per field, in order, as a hand-written constructor has
-    it.  A field's value in the class body is its default."""
+    it, then ``self._check()`` if the class has one.  A field's value in
+    the class body is its default."""
     names = cls._fields
     defaults = {name: getattr(cls, name) for name in names if hasattr(cls, name)}
     params = ", ".join(f"{name}=_defaults[{name!r}]" if name in defaults else name for name in names)
     body = "".join(f"\n    _setattr(self, {name!r}, {name})" for name in names)
+    if hasattr(cls, "_check"):
+        body += "\n    self._check()"
     namespace = {"_setattr": _setattr, "_defaults": defaults, "__name__": cls.__module__}
     exec(f"def __init__(self, {params}):{body}", namespace)
     init = namespace["__init__"]
@@ -577,16 +583,13 @@ def from_sexagesimal(x: SexNumber) -> Fraction:
     The value is N / 60**f for the digits' integer N and f = frac_count.
     Up to `_DC_BITS` bits of N, `Fraction` reduces it by gcd.  Past that,
     where the gcd is quadratic, the common factor 2**a * 3**b * 5**c comes
-    from valuations capped at 2f, f and f: a from N's lowest set bit, and b
-    and c from `_valuation`, which divides them out of N.
+    from `_valuations_235` capped at 2f, f and f, which divides it out of N.
     """
     f = x.frac_count
     n = _int_of_digits(x.digits)
     if n.bit_length() <= _DC_BITS:
         return Fraction(x.sign * n, BASE**f)
-    a = min((n & -n).bit_length() - 1, 2 * f)
-    b, n = _valuation(n >> a, 3, f)
-    c, n = _valuation(n, 5, f)
+    a, b, c, n = _valuations_235(n, 2 * f, f, f)
     return _coprime_fraction(x.sign * n, 3 ** (f - b) * 5 ** (f - c) << 2 * f - a)
 
 
@@ -671,16 +674,27 @@ def _valuation(n: int, p: int, cap: int) -> tuple[int, int]:
     return v, n
 
 
+def _valuations_235(n: int, cap2: int, cap3: int, cap5: int) -> tuple[int, int, int, int]:
+    """(a, b, c, n // (2**a * 3**b * 5**c)) for n > 0, with a, b and c the
+    exponents of 2, 3 and 5 in n, each capped at its ``cap``.  The power of
+    2 is n's lowest set bit, one shift; those of 3 and 5 take `_valuation`'s
+    O(log v) big divisions, not one division per power, which is quadratic
+    in n's length."""
+    a = min((n & -n).bit_length() - 1, cap2)
+    b, n = _valuation(n >> a, 3, cap3)
+    c, n = _valuation(n, 5, cap5)
+    return a, b, c, n
+
+
 def _split_denominator(den: int, base: int) -> tuple[int, int]:
     """(k, t) with den = s * t, s made of the primes of ``base`` and t coprime
     to it; k is the least k with s | base**k, which is the pre-period length
     of every reduced fraction over den.
 
     Dividing by gcd(den, base) once per step lowers every prime exponent by
-    at most one base's worth, so the step count is k; past `_DC_BITS` the
-    exponents come from valuations instead, k = max ceil(v_p / e_p) over
-    the primes p**e_p of base.  The power of 2 is den's lowest set bit, one
-    shift; other primes take `_valuation`'s O(log v) big divisions.
+    at most one base's worth, so the step count is k.  Past `_DC_BITS` the
+    exponents come from `_valuations_235` instead, k = max ceil(v_p / e_p)
+    over the primes p**e_p of base; only bases 10 and 60 reach that route.
     """
     if den.bit_length() <= _DC_BITS:
         k = 0
@@ -688,22 +702,12 @@ def _split_denominator(den: int, base: int) -> tuple[int, int]:
             den //= g
             k += 1
         return k, den
-    k = 0
-    p, rest = 2, base
-    while rest > 1:
-        e = 0
-        while rest % p == 0:
-            rest //= p
-            e += 1
-        if e:
-            if p == 2:  # the lowest set bit
-                v = (den & -den).bit_length() - 1
-                den >>= v
-            else:
-                v, den = _valuation(den, p, den.bit_length())
-            k = max(k, -(-v // e))
-        p += 1
-    return k, den
+    cap = den.bit_length()
+    if base == 10:
+        a, _, c, den = _valuations_235(den, cap, 0, cap)
+        return max(a, c), den
+    a, b, c, den = _valuations_235(den, cap, cap, cap)
+    return max(-(-a // 2), b, c), den
 
 
 def _emit_digits(out: bytearray | list, r: int, den: int, base: int, n: int) -> int:

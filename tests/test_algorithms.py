@@ -62,6 +62,13 @@ class TestHeronSqrt:
         assert result.iterations == 1
         assert result.residual == 0
 
+    def test_root_below_precision_is_the_zero_float(self):
+        # sqrt(10**-40) is 10**-20, far below 60**-3: the truncated root is
+        # zero, and its float the zero of the requested precision
+        result = heron_sqrt(Fraction(1, 10**40), precision=3)
+        assert result.value == SexFloat(0, (0, 0, 0), 0) == SexFloat.zero(3)
+        assert result.value.to_rational() == 0
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             heron_sqrt(0)

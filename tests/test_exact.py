@@ -388,6 +388,54 @@ class TestRecordConstructor:
             Number(1, (1, 0), 1)
         assert type(Other(1)) is Other and Other(1) != self.Pair(1)
 
+    class Checked(_Record):
+        """Three fields and a ``_check`` that counts its calls and records
+        the fields it sees; a negative ``low`` is refused."""
+
+        low: int
+        high: int
+        label: str = "c"
+        seen = []
+
+        def _check(self):
+            self.seen.append(dict(vars(self)))
+            if self.low < 0:
+                raise ValueError(f"low must be at least 0, not {self.low}")
+
+    def test_check_runs_once_after_every_field(self, monkeypatch):
+        Checked = self.Checked
+        monkeypatch.setattr(Checked, "seen", [])
+        Checked(1, 2, "x")
+        Checked(high=2, label="x", low=1)
+        Checked(1, high=2)
+        assert Checked.seen == [
+            {"low": 1, "high": 2, "label": "x"},
+            {"low": 1, "high": 2, "label": "x"},
+            {"low": 1, "high": 2, "label": "c"},
+        ]
+
+    def test_check_error_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(self.Checked, "seen", [])
+        with pytest.raises(ValueError, match="^low must be at least 0, not -1$") as caught:
+            self.Checked(-1, 2)
+        assert type(caught.value) is ValueError and caught.value.__cause__ is None
+        assert len(self.Checked.seen) == 1
+
+    def test_subclass_check_runs_after_its_own_field(self, monkeypatch):
+        class Wider(self.Checked):
+            extra: int = 0
+
+        monkeypatch.setattr(self.Checked, "seen", [])
+        Wider(1, 2, extra=3)
+        assert self.Checked.seen == [{"low": 1, "high": 2, "label": "c", "extra": 3}]
+        with pytest.raises(ValueError, match="^low must be at least 0, not -5$"):
+            Wider(-5, 2)
+
+    def test_build_skips_the_check(self, monkeypatch):
+        monkeypatch.setattr(self.Checked, "seen", [])
+        built = self.Checked._build(-1, 2, "x")
+        assert self.Checked.seen == [] and vars(built) == {"low": -1, "high": 2, "label": "x"}
+
 
 def _longdiv(num, den, base=60, limit=500):
     """Independent long-division oracle: fractional digits plus repetend."""
@@ -966,6 +1014,19 @@ class TestTerminatingLength:
                 den = 2**twos * cofactor
                 assert den.bit_length() > _DC_BITS
                 assert _split_denominator(den, base) == _gcd_split(den, base)
+
+    @pytest.mark.parametrize(
+        "exps,cofactor",
+        [((700, 0, 0), 1), ((0, 900, 0), 7), ((1501, 333, 2), 1), ((3, 640, 641), 2**600 + 1), ((1, 0, 0), 3**400)],
+    )
+    def test_large_denominators_match_is_regular(self, exps, cofactor):
+        # past `_DC_BITS` both come from one 2-3-5 valuation: the base-60 split
+        # is max(ceil(a/2), b, c), and base 10 leaves the power of 3 in t
+        den = 2 ** exps[0] * 3 ** exps[1] * 5 ** exps[2] * cofactor
+        assert den.bit_length() > _DC_BITS
+        _, a, b, c, rest = is_regular(den)
+        assert _split_denominator(den, 60) == (max(-(-a // 2), b, c), rest)
+        assert _split_denominator(den, 10) == (max(a, c), 3**b * rest)
 
     @pytest.mark.parametrize("base", [10, 60])
     def test_long_preperiod_against_oracle(self, base):
