@@ -75,17 +75,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, notation_in=True, notation_out=True):
+    def common(p):
         p.add_argument("--p", type=_precision, default=8, metavar="N",
                        help="precision in sexagesits (1..64, default 8)")
         p.add_argument("--round", choices=(TRUNC, HALF_UP, HALF_EVEN), default=TRUNC,
                        help="rounding mode (default trunc)")
-        if notation_in:
-            p.add_argument("--from", dest="notation_in", choices=NOTATIONS, default="decimal",
-                           help="input notation (default decimal)")
-        if notation_out:
-            p.add_argument("--to", dest="notation_out", choices=NOTATIONS, default="canonical",
-                           help="output notation (default canonical)")
+        p.add_argument("--from", dest="notation_in", choices=NOTATIONS, default="decimal",
+                       help="input notation (default decimal)")
+        p.add_argument("--to", dest="notation_out", choices=NOTATIONS, default="canonical",
+                       help="output notation (default canonical)")
 
     p = sub.add_parser("convert", help="convert a number between notations")
     p.set_defaults(run=_cmd_convert, origin="exact")

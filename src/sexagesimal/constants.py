@@ -139,7 +139,7 @@ def verify_constant(
     at the published digit count (or ``precision`` when given).  An
     out-of-alphabet glyph, or no glyphs at all, is a status, not an error."""
     try:
-        published = tuple(_decode_raw(entry.glyphs, table))
+        published = _decode_raw(entry.glyphs, table)
         if entry.exponent_glyphs is None:
             published_scale = 0
         else:
@@ -171,7 +171,7 @@ def verify_table(entries: list[ConstantEntry] | None = None) -> VerificationRepo
     """Verify every entry, in table order; never aborts on bad glyphs."""
     if entries is None:
         entries = load_constants()
-    return VerificationReport(tuple(verify_constant(e) for e in entries))
+    return VerificationReport(verify_constant(e) for e in entries)
 
 
 def _scale_text(scale: int) -> str:

@@ -379,10 +379,10 @@ def _diff_digits(published, derived, record) -> tuple:
     return tuple(record(i, p, d) for i, (p, d) in pairs if p != d)
 
 
-# every record constructor, hand-written or written by `_Record`, sets its
-# fields with this, past `_Record.__setattr__`: bound once, it takes one
-# lookup fewer per field than object.__setattr__.  `_Record._build` makes a
-# record with `_new` and sets its fields the same way.
+# record constructors, `GlyphTable`'s and those `_Record` writes, set fields
+# with this, past `_Record.__setattr__`: bound once, it takes one lookup
+# fewer per field than object.__setattr__.  `_Record._build` makes a record
+# with `_new` and sets its fields the same way.
 _setattr = object.__setattr__
 _new = object.__new__
 
@@ -395,17 +395,19 @@ class _Record:
     are also the positional ``match`` arguments, unless the subclass
     names its own ``__match_args__``.  A subclass of a record keeps its
     parent's fields, followed by any it annotates itself; if it annotates
-    some and defines no ``__init__``, `_field_init` writes one.  A record
-    whose fields obey rules states them in a ``_check`` method, which reads
-    the fields set and raises on a bad one; the written ``__init__`` calls
-    it last, and `_build` does not."""
+    some and defines no ``__init__``, `_field_init` writes one, which
+    stores a field annotated ``tuple[...]`` as a tuple of any iterable it
+    is given.  A record whose fields obey rules states them in a
+    ``_check`` method, which reads the fields set and raises on a bad one;
+    the written ``__init__`` calls it last, and `_build` does not."""
 
     def __init_subclass__(cls):
         super().__init_subclass__()
-        own = vars(cls).get("__annotations__", ())
-        # before this assignment, ``cls._fields`` is the parent record's
-        cls._fields = getattr(cls, "_fields", ()) + tuple(own)
-        cls.__match_args__ = vars(cls).get("__match_args__", cls._fields)
+        own = vars(cls).get("__annotations__", {})
+        # each field's annotation by its name, in order; before this
+        # assignment, ``cls._fields`` is the parent record's
+        cls._fields = {**getattr(cls, "_fields", {}), **own}
+        cls.__match_args__ = vars(cls).get("__match_args__", tuple(cls._fields))
         if own and "__init__" not in vars(cls):
             cls.__init__ = _field_init(cls)
 
@@ -447,13 +449,13 @@ class _Record:
 
 def _field_init(cls):
     """``__init__(self, f1, ..., fn)`` over ``cls._fields``, compiled once:
-    one `_setattr` per field, in order, as a hand-written constructor has
-    it, then ``self._check()`` if the class has one.  A field's value in
-    the class body is its default."""
+    one `_setattr` per field, in order, of the value `_stored` names, then
+    ``self._check()`` if the class has one.  A field's value in the class
+    body is its default."""
     names = cls._fields
     defaults = {name: getattr(cls, name) for name in names if hasattr(cls, name)}
     params = ", ".join(f"{name}=_defaults[{name!r}]" if name in defaults else name for name in names)
-    body = "".join(f"\n    _setattr(self, {name!r}, {name})" for name in names)
+    body = "".join(f"\n    _setattr(self, {name!r}, {_stored(name, hint)})" for name, hint in names.items())
     if hasattr(cls, "_check"):
         body += "\n    self._check()"
     namespace = {"_setattr": _setattr, "_defaults": defaults, "__name__": cls.__module__}
@@ -461,6 +463,18 @@ def _field_init(cls):
     init = namespace["__init__"]
     init.__qualname__ = f"{cls.__qualname__}.__init__"
     return init
+
+
+def _stored(name: str, hint) -> str:
+    """The expression a written ``__init__`` stores argument ``name`` as:
+    ``tuple(name)`` for a field annotated ``tuple[...]``, the same with None
+    kept as None for ``tuple[...] | None``, and else the argument itself."""
+    if getattr(hint, "__origin__", None) is tuple:
+        return f"tuple({name})"
+    args = getattr(hint, "__args__", ())
+    if len(args) == 2 and args[1] is type(None) and getattr(args[0], "__origin__", None) is tuple:
+        return f"None if {name} is None else tuple({name})"
+    return name
 
 
 def _check_sexagesits(digits) -> None:
@@ -486,21 +500,13 @@ class SexNumber(_Record):
     digits: tuple[int, ...]
     frac_count: int
 
-    def __init__(self, sign: int, digits: tuple[int, ...], frac_count: int):
-        """``digits`` may be any sequence of ints; as `bytes` or `bytearray`
-        its range is checked by one C-level ``translate``, else digit by
-        digit.  Every field is checked; the package's own numbers come from
-        `from_digits`, which checks each digit once and skips the rest."""
-        raw = digits
-        digits = tuple(digits)
-        _setattr(self, "sign", sign)
-        _setattr(self, "digits", digits)
-        _setattr(self, "frac_count", frac_count)
+    def _check(self):
+        sign, digits, frac_count = self.sign, self.digits, self.frac_count
         if sign not in (-1, 0, 1):
             raise ValueError(f"sign must be -1, 0 or 1, not {sign!r}")
         if not digits:
             raise ValueError("digit sequence is empty")
-        _check_sexagesits(raw if raw.__class__ in (bytes, bytearray) else digits)
+        _check_sexagesits(digits)
         if not 0 <= frac_count <= len(digits):
             raise ValueError("frac_count out of range")
         if sign == 0:
@@ -859,16 +865,7 @@ def _expand(x: Fraction, base: int, max_frac: int, detect_repetend: bool) -> Exp
             frac, complete = [], False
             _emit_digits(frac, rem, den, base, max_frac)
 
-    return Expansion(
-        sign=sign,
-        int_digits=tuple(int_digits),
-        frac_digits=tuple(frac),
-        period=period,
-        base=base,
-        terminates=terminates,
-        frac_len=preperiod if terminates else None,
-        complete=complete,
-    )
+    return Expansion(sign, int_digits, frac, period, base, terminates, preperiod if terminates else None, complete)
 
 
 def to_sexagesimal(

@@ -20,7 +20,6 @@ from .exact import (
     _rational,
     _Record,
     _round_quotient,
-    _setattr,
     from_sexagesimal,
 )
 
@@ -30,22 +29,15 @@ class SexFloat(_Record):
     mantissa: tuple[int, ...]
     exponent: int
 
-    def __init__(self, sign: int, mantissa: tuple[int, ...], exponent: int):
-        """``mantissa`` may be any sequence of ints, checked as `SexNumber`
-        checks digits.  Every field is checked; the package's own floats
-        come from builders that make them normalized and skip the checks."""
-        raw = mantissa
-        mantissa = tuple(mantissa)
-        _setattr(self, "sign", sign)
-        _setattr(self, "mantissa", mantissa)
-        _setattr(self, "exponent", exponent)
+    def _check(self):
+        sign, mantissa = self.sign, self.mantissa
         if sign not in (-1, 0, 1):
             raise ValueError(f"sign must be -1, 0 or 1, not {sign!r}")
         if not mantissa:
             raise ValueError("mantissa is empty")
-        _check_sexagesits(raw if raw.__class__ in (bytes, bytearray) else mantissa)
+        _check_sexagesits(mantissa)
         if sign == 0:
-            if any(mantissa) or exponent != 0:
+            if any(mantissa) or self.exponent != 0:
                 raise ValueError("zero must have an all-zero mantissa and exponent 0")
         elif mantissa[0] == 0:
             raise ValueError("mantissa is not normalized (leading sexagesit 0)")

@@ -436,6 +436,18 @@ class TestRecordConstructor:
         built = self.Checked._build(-1, 2, "x")
         assert self.Checked.seen == [] and vars(built) == {"low": -1, "high": 2, "label": "x"}
 
+    def test_tuple_annotated_fields_are_stored_as_tuples(self):
+        class Holder(_Record):
+            items: tuple[int, ...]
+            maybe: tuple[str, ...] | None
+            other: list
+
+        given = [1]
+        held = Holder((n for n in range(3)), None, given)
+        assert type(held.items) is tuple and held.items == (0, 1, 2)
+        assert held.maybe is None and held.other is given
+        assert Holder([], iter("ab"), given).maybe == ("a", "b")
+
 
 def _longdiv(num, den, base=60, limit=500):
     """Independent long-division oracle: fractional digits plus repetend."""

@@ -23,6 +23,7 @@ from sexagesimal import (
     VerificationReport,
 )
 from sexagesimal.algorithms import DigitMismatch
+from sexagesimal.constants import DigitDiff
 from sexagesimal.glyphs import _DEFAULT_ALIASES, _DEFAULT_FORWARD
 
 NUMBER = SexNumber(1, (1, 30), 1)
@@ -282,3 +283,30 @@ def test_glyph_table_cannot_be_pickled():
 def test_invalid_fields_raise_value_error(build, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build()
+
+
+# records with fields annotated tuple[...], as built from tuples, and the
+# names of those fields
+TUPLE_RECORDS = {
+    SexNumber: (NUMBER, ("digits",)),
+    SexFloat: (FLOAT, ("mantissa",)),
+    Expansion: (Expansion(1, (1,), (2,), (3,), 60, False, None, True), ("int_digits", "frac_digits", "period")),
+    RowDiff: (RowDiff(1, None, None, (DigitMismatch(2, 30, 29),), None), ("mismatches",)),
+    EntryStatus: (
+        EntryStatus(ENTRY, "mismatch", (1, 2), (1, 3), 0, 0, (DigitDiff(2, 2, 3),)),
+        ("published_digits", "derived_digits", "digit_diffs"),
+    ),
+    VerificationReport: (VerificationReport((STATUS, STATUS)), ("statuses",)),
+}
+
+
+@pytest.mark.parametrize("make", [list, iter], ids=["list", "iterator"])
+@pytest.mark.parametrize("cls", TUPLE_RECORDS, ids=[cls.__name__ for cls in TUPLE_RECORDS])
+def test_tuple_fields_are_stored_as_tuples(cls, make):
+    # a list or an iterator given for a tuple field is stored as a tuple, so
+    # the record equals and hashes as its tuple-built twin and cannot grow
+    record, names = TUPLE_RECORDS[cls]
+    fields = {name: getattr(record, name) for name in cls.__annotations__}
+    built = cls(**{name: make(value) if name in names else value for name, value in fields.items()})
+    assert built == record and hash(built) == hash(record)
+    assert [type(getattr(built, name)) for name in names] == [tuple] * len(names)
