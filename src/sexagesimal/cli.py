@@ -24,8 +24,7 @@ from .algorithms import (
 from .constants import encode_scientific, render_report, verify_table
 from .errors import SexagesimalError
 from .exact import (
-    HALF_EVEN,
-    HALF_UP,
+    ROUNDING_MODES,
     TRUNC,
     Rational,
     _render,
@@ -78,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--p", type=_precision, default=8, metavar="N",
                        help="precision in sexagesits (1..64, default 8)")
-        p.add_argument("--round", choices=(TRUNC, HALF_UP, HALF_EVEN), default=TRUNC,
+        p.add_argument("--round", choices=ROUNDING_MODES, default=TRUNC,
                        help="rounding mode (default trunc)")
         p.add_argument("--from", dest="notation_in", choices=NOTATIONS, default="decimal",
                        help="input notation (default decimal)")

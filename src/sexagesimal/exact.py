@@ -487,6 +487,15 @@ def _check_sexagesits(digits) -> None:
             raise ValueError(f"sexagesit out of range: {d!r}") from None
 
 
+def _check_signed_digits(sign, digits, name: str) -> None:
+    """The sign, non-empty ``name`` and sexagesit checks of `SexNumber` and `SexFloat`."""
+    if sign not in (-1, 0, 1):
+        raise ValueError(f"sign must be -1, 0 or 1, not {sign!r}")
+    if not digits:
+        raise ValueError(f"{name} is empty")
+    _check_sexagesits(digits)
+
+
 class SexNumber(_Record):
     """A base-60 positional numeral: sign, digits (most significant first),
     and how many of those digits lie right of the radix point.
@@ -502,11 +511,7 @@ class SexNumber(_Record):
 
     def _check(self):
         sign, digits, frac_count = self.sign, self.digits, self.frac_count
-        if sign not in (-1, 0, 1):
-            raise ValueError(f"sign must be -1, 0 or 1, not {sign!r}")
-        if not digits:
-            raise ValueError("digit sequence is empty")
-        _check_sexagesits(digits)
+        _check_signed_digits(sign, digits, "digit sequence")
         if not 0 <= frac_count <= len(digits):
             raise ValueError("frac_count out of range")
         if sign == 0:

@@ -15,7 +15,7 @@ from .exact import (
     TRUNC,
     SexNumber,
     _check_mode,
-    _check_sexagesits,
+    _check_signed_digits,
     _digits_of_int,
     _rational,
     _Record,
@@ -31,11 +31,7 @@ class SexFloat(_Record):
 
     def _check(self):
         sign, mantissa = self.sign, self.mantissa
-        if sign not in (-1, 0, 1):
-            raise ValueError(f"sign must be -1, 0 or 1, not {sign!r}")
-        if not mantissa:
-            raise ValueError("mantissa is empty")
-        _check_sexagesits(mantissa)
+        _check_signed_digits(sign, mantissa, "mantissa")
         if sign == 0:
             if any(mantissa) or self.exponent != 0:
                 raise ValueError("zero must have an all-zero mantissa and exponent 0")

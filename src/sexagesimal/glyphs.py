@@ -58,7 +58,7 @@ class GlyphTable(_Record):
             raise ValueError("forward map must cover exactly the values 0..59")
         if len(set(forward.values())) != BASE:
             raise ValueError("forward map is not injective")
-        for g in forward.values():
+        for g in (*forward.values(), *aliases):
             if len(g) != 1:
                 raise ValueError(f"glyph {g!r} is not a single character")
         reverse = {g: v for v, g in forward.items()}
@@ -70,12 +70,12 @@ class GlyphTable(_Record):
         _setattr(self, "forward", MappingProxyType(dict(forward)))
         _setattr(self, "aliases", MappingProxyType(dict(aliases)))
         _setattr(self, "reverse", MappingProxyType(reverse))
-        # derived, not a field: the `str.translate` map of `decode_glyphs`.  Each glyph and alias goes to its value and a space to
-        # nothing; "-", ";" and every other code point below BASE go to 255,
-        # out of range, as do (unchanged) the unknown ones from BASE to 255
-        bulk_map = dict.fromkeys(range(BASE), 255)
+        # derived, not a field: the `str.translate` map of `decode_glyphs`, for
+        # every code point below 256: each glyph and alias to its value, but
+        # syntax first: " " to nothing, ";" to 254, and "-" and the rest to 255
+        bulk_map = dict.fromkeys(range(256), 255)
         bulk_map.update({ord(g): v for g, v in [*reverse.items(), *aliases.items()]})
-        bulk_map.update({ord(" "): None, ord("-"): 255, ord(";"): 255})
+        bulk_map.update({ord(" "): None, ord("-"): 255, ord(";"): 254})
         _setattr(self, "_bulk_map", bulk_map)
 
     def glyph(self, value: int) -> str:
@@ -138,19 +138,18 @@ def decode_glyphs(text: str, table: GlyphTable = DEFAULT_TABLE) -> SexNumber:
     1-based indexes into the original text.
 
     The text is read by C-level string operations, whatever its length:
-    the spaces before a ``-`` sign are stripped, one ``partition`` splits
-    at the radix point, and one ``str.translate`` of each part through the
-    table's map must encode as Latin-1 to digit values, which
-    `SexNumber.from_digits` checks are below BASE as it builds the number.
-    Text this refuses is malformed, and `_glyph_fault` names its fault."""
+    the spaces before a ``-`` sign are stripped, one ``str.translate`` of
+    the rest through the table's map must encode as Latin-1, and one
+    ``partition`` at the radix point's byte 254 splits the digit values,
+    which `SexNumber.from_digits` checks are below BASE as it builds the
+    number.  Text this refuses is malformed; `_glyph_fault` names its fault."""
     body = text.lstrip(" ")
     sign = -1 if body[:1] == "-" else 1
-    int_part, point, frac_part = body[sign < 0 :].partition(";")
     try:
-        int_digits = int_part.translate(table._bulk_map).encode("latin-1")
-        frac_digits = frac_part.translate(table._bulk_map).encode("latin-1")
+        raw = body[sign < 0 :].translate(table._bulk_map).encode("latin-1")
     except UnicodeEncodeError:  # a code point past 255, not a glyph
         _glyph_fault(text, table)
+    int_digits, point, frac_digits = raw.partition(b"\xfe")
     if int_digits and (frac_digits or not point):
         try:
             return SexNumber.from_digits(sign, int_digits + frac_digits, len(frac_digits))

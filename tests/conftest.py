@@ -59,15 +59,23 @@ def frac_stream(num, den, base, count):
     return digits
 
 
-def run_python(args, timeout):
+def run_python(args, timeout, env=None, text=True):
     """Run a fresh interpreter on ``args`` with the package under test on its
-    path. A run still going after ``timeout`` seconds is killed and raises
+    path and the variables of ``env`` added to the environment. A run still
+    going after ``timeout`` seconds is killed and raises
     `subprocess.TimeoutExpired`, so a hang fails the test instead of
-    holding the suite."""
+    holding the suite. Its output is UTF-8 text, or bytes when ``text`` is
+    false."""
     src = str(Path(sexagesimal.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, **(env or {}), PYTHONPATH=pythonpath)
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, encoding="utf-8", timeout=timeout, env=env
+        [sys.executable, *args],
+        capture_output=True,
+        text=text,
+        encoding="utf-8" if text else None,
+        timeout=timeout,
+        env=env,
     )
 
 

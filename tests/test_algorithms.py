@@ -579,6 +579,15 @@ class TestPlimptonRowCompute:
         with pytest.raises(DomainError):
             plimpton_row_compute(2, 4, 1)
 
+    @pytest.mark.parametrize("a, d", [(169, 169), (169, 119), (0, 1)])
+    def test_short_side_not_below_the_diagonal(self, a, d):
+        with pytest.raises(DomainError, match=r"^require 0 < a < d$"):
+            plimpton_row_compute(a, d, 1)
+
+    def test_unknown_ratio(self):
+        with pytest.raises(DomainError, match=r"^unknown ratio interpretation 'b2d2'$"):
+            plimpton_row_compute(119, 169, 1, ratio="b2d2")
+
     def test_irregular_medium_side(self):
         # (24, 7, 25): b = 7 is not regular, the ratio cannot terminate
         with pytest.raises(DomainError):

@@ -161,8 +161,9 @@ def _canonical_texts(draw):
 
 
 # glyphs, aliases and spaces, and the unknown: Latin v, a code point below
-# 60, one past Latin-1, ":", and a second "-" or ";"
-_GLYPHS = [*DEFAULT_TABLE.forward.values(), *DEFAULT_TABLE.aliases, " ", "v", "\x05", ":", "Ω", "-", ";"]
+# 60, "<" (code point 60), "þ" and "ÿ" (254 and 255), one past Latin-1,
+# ":", and a second "-" or ";"
+_GLYPHS = [*DEFAULT_TABLE.forward.values(), *DEFAULT_TABLE.aliases, " ", "v", "\x05", "<", "þ", "ÿ", ":", "Ω", "-", ";"]
 
 
 @st.composite
@@ -237,6 +238,11 @@ class TestDecodersAgainstScanners:
             "  -1ω",
             " - -1",
             "1 ; 3 0",
+            # "þ" and "ÿ" have the code points 254 and 255, the bytes that
+            # a radix point and an unknown character are read as; "<" is 60
+            "1ω0F1ω0F1þω0F1ω0F",
+            "1ω0F1ω0F;1ω0Fÿ1ω0F",
+            " -<1ω0F",
         ],
     )
     def test_glyph_cases(self, text):

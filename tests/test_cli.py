@@ -2,17 +2,21 @@
 
 import contextlib
 import io
+import random
+import re
+import runpy
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import frac_stream, run_python
-from sexagesimal import exact
+from sexagesimal import algorithms, exact
 from sexagesimal.cli import main
-from sexagesimal.glyphs import DEFAULT_TABLE
+from sexagesimal.glyphs import DEFAULT_TABLE, encode_glyphs
 
 DATA = Path(__file__).parent / "data" / "cli"
 
@@ -155,6 +159,54 @@ def test_module_entry_point():
     assert proc.stdout == (DATA / "epsilon_8.txt").read_text(encoding="utf-8")
 
 
+# one golden of each subcommand
+ENTRY_POINT_GOLDENS = [
+    "convert_glyph", "arith_div", "sqrt_2", "area_345", "epsilon_1", "divisors_60", "plimpton_check", "constants_human",
+]
+
+
+@pytest.mark.parametrize("name", ENTRY_POINT_GOLDENS)
+def test_golden_through_module_entry_point(name):
+    proc = run_python(["-m", "sexagesimal", *GOLDEN_CASES[name]], timeout=20, text=False)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, (DATA / f"{name}.txt").read_bytes(), b"")
+
+
+@pytest.mark.parametrize("name", ["convert_glyph", "sqrt_glyph"])
+def test_glyph_output_whatever_the_stream_encoding(name):
+    # main() writes UTF-8 whatever encoding the streams were opened with;
+    # under an ASCII stdout a glyph past U+007F would raise
+    # UnicodeEncodeError
+    argv = ["-m", "sexagesimal", *GOLDEN_CASES[name]]
+    proc = run_python(argv, timeout=20, env={"PYTHONIOENCODING": "ascii"}, text=False)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, (DATA / f"{name}.txt").read_bytes(), b"")
+
+
+def test_cli_module_entry_point():
+    proc = run_python(["-m", "sexagesimal.cli", "divisors", "--format", "machine", "60"], timeout=20, text=False)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, (DATA / "divisors_60_machine.txt").read_bytes(), b"")
+
+
+# the entry points run in this process, as ``python -m`` runs them: each
+# exits with main()'s return code
+@pytest.mark.parametrize("module", ["sexagesimal", "sexagesimal.cli"])
+@pytest.mark.parametrize(
+    "argv, code, out, err",
+    [
+        (["epsilon", "--p", "1"], 0, "1.66666666666666664e-02 (= 60^-1)\n", ""),
+        (["divisors", "-5"], 1, "", "sexagesimal divisors: error (algorithms): n must be at least 2\n"),
+    ],
+    ids=["success", "error"],
+)
+def test_entry_point_exit_codes(module, argv, code, out, err, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", [module, *argv])
+    if module == "sexagesimal.cli":  # else runpy warns that it is imported
+        monkeypatch.delitem(sys.modules, module)
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module(module, run_name="__main__")
+    assert exc.value.code == code
+    assert capsys.readouterr() == (out, err)
+
+
 def test_stderr_clean_on_success(capsys):
     assert main(["area", "3", "4", "5"]) == 0
     captured = capsys.readouterr()
@@ -177,8 +229,9 @@ def test_cli_import_skips_dataclasses_and_inspect():
 
 
 def test_cli_import_skips_typing():
-    # the package's records are `collections.namedtuple`s, so `typing` (about
-    # 6 ms of import) stays out; -S leaves out site, which may import it
+    # the package's records are `exact._Record` classes and four
+    # `collections.namedtuple`s, so `typing` (about 6 ms of import) stays
+    # out; -S leaves out site, which may import it
     code = "import sys, sexagesimal.cli; print('typing' in sys.modules)"
     proc = run_python(["-S", "-c", code], timeout=20)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
@@ -378,3 +431,108 @@ def test_generators_past_int_string_limit():
         outputs.append(proc.stdout)
     assert "".join(outputs) == reference.stdout
     assert len(reference.stdout) > 2 * 3 * 5000
+
+
+# a transcription with a wrong digit and one too many in row 1, a
+# fractional side in row 2 and an unknown glyph in row 3
+_FAULTY_TRANSCRIPTION = [["1", "1 ω 0 G 5", "1 ω", "2 ξ"], ["2", "1 ω 0 F", "1;ω", "2 ξ"], ["3", "1 ω 0 F", "1 v", "2 ξ"]]
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (
+            ["plimpton"],
+            "row  1: a=119 b=120 d=169 ratio=1;59:0:15 published=1 ω 0 G 5 [mismatch]"
+            " 4: published 16 vs computed 15; 5: published 5 vs computed -\n"
+            "row  2: a=- b=- d=- ratio=- published=1 ω 0 F [error] side columns must be integers\n"
+            "row  3: a=- b=- d=- ratio=- published=1 ω 0 F [error] unknown glyph 'v' at position 3\n"
+            "0/3 rows match the published transcription\n",
+        ),
+        (
+            ["plimpton", "--format", "machine"],
+            "1\t119\t120\t169\t1;59:0:15\t1 ω 0 G 5\tmismatch\t4: published 16 vs computed 15; 5: published 5 vs computed -\n"
+            "2\t-\t-\t-\t-\t1 ω 0 F\terror\tside columns must be integers\n"
+            "3\t-\t-\t-\t-\t1 ω 0 F\terror\tunknown glyph 'v' at position 3\n",
+        ),
+    ],
+    ids=["human", "machine"],
+)
+def test_plimpton_mismatch_and_error_rows(argv, expected, capsys, monkeypatch):
+    monkeypatch.setattr(algorithms, "_read_tsv", lambda resource: _FAULTY_TRANSCRIPTION)
+    assert main(argv) == 1
+    assert capsys.readouterr() == (expected, "")
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["arith", "sub", "0.25", "0.5"], "-0;15\n"),
+        (["arith", "--to", "glyph", "sub", "1", "0.5"], "0;U\n"),
+        (["arith", "--to", "decimal", "sub", "0", "1"], "-1\n"),
+        (["divisors", "7"], "divisors of 7: (none)\ncount: 0\nfactorization: 2^0 * 3^0 * 5^0 * 7 (not regular)\n"),
+        (["plimpton", "--generators", "12", "5", "--format", "machine"], "119\t120\t169\n"),
+        (["constants", "--encode", "299792458", "--format", "machine"], "N7υεψ\t0\t\n"),
+        (["constants", "--encode", "6.582119514e-22", "--p", "10", "--format", "machine"], "1Pψ1MYMξ38\t-21\t10^{-L}\n"),
+    ],
+    ids=["sub", "sub-glyph", "sub-decimal", "divisors-cofactor", "generators-machine", "encode-machine", "encode-machine-scaled"],
+)
+def test_forms_without_a_golden(argv, expected, capsys):
+    assert main(argv) == 0
+    assert capsys.readouterr() == (expected, "")
+
+
+def _canonical_numeral(n, seed):
+    """A random canonical numeral of n sexagesits, the first nonzero."""
+    rng = random.Random(seed)
+    return ":".join(map(str, [rng.randrange(1, 60), *(rng.randrange(60) for _ in range(n - 1))]))
+
+
+_SIDE = _canonical_numeral(5_000, 3)
+
+# long, huge and degenerate operands, which must keep the exit code and
+# one-line diagnostic of the contract and finish in bounded time.  In
+# process each took at most 0.11 s under CPython 3.11.7 and 3.13.13 on a
+# 2-vCPU Xeon VM, so the deadline is over 10x the slowest
+CONTRACT_DEADLINE_S = 2.0
+CONTRACT_CASES = {
+    "generators-4001-digits": (["plimpton", "--generators", "1" + "0" * 4000, "1"], 0),
+    "generators-zero": (["plimpton", "--generators", "0", "0"], 1),
+    "divisors-negative": (["divisors", "-5"], 1),
+    "divisors-past-int-string-limit": (["divisors", "1" + "0" * 4300], 2),
+    "divisors-prime-near-bound": (["divisors", "999999999989"], 0),
+    "sqrt-9000-sexagesits": (["sqrt", "--p", "64", "--from", "canonical", _canonical_numeral(9_000, 1)], 0),
+    "sqrt-1e4000": (["sqrt", "--p", "64", "1e4000"], 0),
+    "area-5000-sexagesit-sides": (["area", "--from", "canonical", _SIDE, _SIDE, _SIDE], 0),
+    "encode-1e-4299": (["constants", "--encode", "1e-4299"], 0),
+    "encode-4300-digits": (["constants", "--encode", "9" * 4300], 0),
+    "convert-40000-sexagesits": (["convert", "--from", "canonical", _canonical_numeral(40_000, 2)], 0),
+    "div-prime-decimal": (["arith", "div", "1", "999983"], 0),
+    "div-prime-canonical": (["arith", "--from", "canonical", "div", "1", "4:37:46:23"], 0),
+    "div-prime-glyph": (["arith", "--from", "glyph", "div", "1", encode_glyphs(exact.SexNumber.from_int(999983))], 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONTRACT_CASES))
+def test_contract_within_deadline(name, capsys):
+    argv, code = CONTRACT_CASES[name]
+    start = time.perf_counter()
+    try:
+        got = main(argv)
+    except SystemExit as exc:  # a usage error
+        got = exc.code
+    elapsed = time.perf_counter() - start
+    out, err = capsys.readouterr()
+    assert got == code
+    assert elapsed < CONTRACT_DEADLINE_S
+    assert "Traceback" not in err
+    if code == 0:
+        assert err == "" and out.endswith("\n")
+    else:
+        assert out == ""
+        # a usage error prints the usage first; the diagnostic is one line
+        diagnostics = [line for line in err.splitlines() if line.startswith(f"sexagesimal {argv[0]}: error")]
+        assert len(diagnostics) == 1 and err.endswith(diagnostics[0] + "\n")
+        if code == 1:
+            assert err == diagnostics[0] + "\n"
+            assert re.match(rf"sexagesimal {argv[0]}: error \((exact|floating|glyphs|algorithms|constants)\): ", err)

@@ -1,5 +1,6 @@
 """Scientific glyph encoding and the constants verification report."""
 
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -81,6 +82,11 @@ class TestParseScale:
     def test_malformed(self):
         with pytest.raises(DomainError):
             _parse_scale("60^{-5}", DEFAULT_TABLE)
+
+    @pytest.mark.parametrize("notation", ["10^{}", "10^{-}", "10^{  }"])
+    def test_empty_exponent(self, notation):
+        with pytest.raises(DomainError, match=rf"^empty exponent in {re.escape(repr(notation))}$"):
+            _parse_scale(notation, DEFAULT_TABLE)
 
 
 class TestVerifyConstant:

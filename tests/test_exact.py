@@ -257,6 +257,10 @@ class TestArith:
         assert got.numerator == 169 * 169
         assert got.denominator == 120 * 120
 
+    def test_sub(self):
+        assert arith("sub", Fraction(1, 3), Fraction(1, 2)) == Fraction(-1, 6)
+        assert arith("sub", Fraction(1, 2), Fraction(1, 3)) == Fraction(1, 6)
+
     def test_div(self):
         assert arith("div", Fraction(1), Fraction(7)) == Fraction(1, 7)
 
@@ -313,6 +317,14 @@ class TestSexNumber:
     def test_zero_is_unique(self):
         assert SexNumber.from_digits(1, [0, 0], 1) == SexNumber(0, (0,), 0)
         assert SexNumber.from_digits(-1, [0], 0).is_zero
+
+    def test_negative_frac_count_rejected(self):
+        with pytest.raises(ValueError, match=r"^frac_count out of range$"):
+            SexNumber.from_digits(1, [1, 30], -1)
+
+    def test_str_is_canonical_text(self):
+        assert str(SexNumber(-1, (1, 59, 0, 15), 3)) == "-1;59:0:15"
+        assert str(SexNumber(0, (0,), 0)) == "0"
 
     @pytest.mark.parametrize(
         "sign,digits,frac",
@@ -790,6 +802,10 @@ class TestToDecimal:
         assert exp.frac_digits == (3, 3, 3, 3)
         assert not exp.complete
         assert not exp.terminates
+
+    def test_negative_max_frac_rejected(self):
+        with pytest.raises(DomainError, match=r"^max_frac must be non-negative$"):
+            to_decimal(Fraction(1, 3), -1)
 
     def test_str_forms(self):
         assert str(to_decimal(Fraction(1, 60))) == "0.01(6)"

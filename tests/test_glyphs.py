@@ -86,6 +86,12 @@ class TestDecodeGlyphs:
         assert err.value.position == 2
         assert "unknown glyph 'v' at position 2" in str(err.value)
 
+    def test_every_latin_1_code_point_is_mapped(self):
+        # str.translate leaves an unmapped code point as it is, and one
+        # below 256 would then encode as a byte of its own value
+        for table in (DEFAULT_TABLE, GlyphTable(aliases={})):
+            assert set(table._bulk_map) >= set(range(256))
+
     def test_whitespace_ignored(self):
         assert decode_glyphs("1 ω 0 F") == decode_glyphs("1ω0F")
 

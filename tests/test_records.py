@@ -270,6 +270,7 @@ def test_glyph_table_cannot_be_pickled():
         (lambda: GlyphTable(forward={0: "0"}), "forward map must cover exactly the values 0..59"),
         (lambda: GlyphTable(forward=dict.fromkeys(range(60), "x")), "forward map is not injective"),
         (lambda: GlyphTable(forward={**_DEFAULT_FORWARD, 0: "00"}), "glyph '00' is not a single character"),
+        (lambda: GlyphTable(aliases={"ab": 1}), "glyph 'ab' is not a single character"),
         (lambda: GlyphTable(aliases={"A": 10}), "alias 'A' shadows a primary glyph"),
         (lambda: GlyphTable(aliases={"ϕ": 99}), "alias 'ϕ' maps to invalid value 99"),
         (lambda: Triple(4, 3, 5), "sides must satisfy 0 < a <= b < d"),
