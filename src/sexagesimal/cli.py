@@ -212,9 +212,7 @@ def _cmd_plimpton(args) -> tuple[str, int]:
         # through the digit kernel: the sides may pass the int-string limit
         triple = triple_from_generators(*args.generators)
         a, b, d = (str(to_decimal(side)) for side in (triple.a, triple.b, triple.d))
-        if args.format == "machine":
-            return f"{a}\t{b}\t{d}\n", 0
-        return f"a={a} b={b} d={d}\n", 0
+        return (f"{a}\t{b}\t{d}\n" if args.format == "machine" else f"a={a} b={b} d={d}\n"), 0
     diffs = reconstruct_table(args.ratio)
     records = {record.index: record for record in load_table()}
     lines = []
@@ -230,16 +228,10 @@ def _cmd_plimpton(args) -> tuple[str, int]:
             ratio = diff.row.ratio_digits.canonical_text()
         published = records[diff.index].ratio_glyphs
         if args.format == "machine":
-            lines.append(
-                "\t".join(
-                    (str(diff.index), str(a), str(b), str(d), str(ratio), published, status, detail)
-                )
-            )
+            lines.append("\t".join((str(diff.index), str(a), str(b), str(d), str(ratio), published, status, detail)))
         else:
             line = f"row {diff.index:2d}: a={a} b={b} d={d} ratio={ratio} published={published} [{status}]"
-            if detail:
-                line += f" {detail}"
-            lines.append(line)
+            lines.append(f"{line} {detail}" if detail else line)
     if args.format == "human":
         lines.append(f"{ok_count}/{len(diffs)} rows match the published transcription")
     return "\n".join(lines) + "\n", 0 if ok_count == len(diffs) else 1

@@ -25,9 +25,7 @@ def quote(text: str) -> str:
     """``repr`` of an input for a diagnostic: whole when short, else its first
     `QUOTE_CHARS` characters and its length, so that the message stays one
     short line whatever the input."""
-    if len(text) <= QUOTE_CHARS:
-        return repr(text)
-    return f"{text[:QUOTE_CHARS]!r}... ({len(text)} characters)"
+    return repr(text) if len(text) <= QUOTE_CHARS else f"{text[:QUOTE_CHARS]!r}... ({len(text)} characters)"
 
 
 class DomainError(SexagesimalError, ValueError):

@@ -204,10 +204,7 @@ def _div2n1n(a: int, b: int, n: int) -> tuple[int, int]:
     if a.bit_length() - n <= _DIV_BITS:
         return divmod(a, b)
     pad = n & 1
-    if pad:
-        a <<= 1
-        b <<= 1
-        n += 1
+    a, b, n = a << pad, b << pad, n + pad
     half = n >> 1
     mask = (1 << half) - 1
     b1, b2 = b >> half, b & mask
@@ -318,8 +315,7 @@ def _int_of_digits(digits, base: int = BASE) -> int:
             value = value * base + d
         return value
     leaf = _FOLD_LEAF
-    raw = bytes(digits)
-    raw = bytes(-len(raw) % leaf) + raw  # leading zeros fill the top leaf
+    raw = bytes(-len(digits) % leaf) + bytes(digits)  # leading zeros fill the top leaf
     size = len(raw)
     x = int.from_bytes(raw, "big")
     power, w = base, 1
@@ -435,9 +431,7 @@ class _Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
 
     def __hash__(self):
         return hash(self._values())
@@ -844,9 +838,26 @@ def _repetend(rem: int, den: int, coprime: int, base: int, preperiod: int, max_f
     if period is None:
         _emit_digits(frac, u, coprime, base, max(0, shown - preperiod))
         return frac[:shown], (), False
+    if period >= 1 << 17:  # a tuple of 1 MiB or more
+        _keep_heap()
     out = bytearray()
     _emit_digits(out, u, coprime, base, period)
     return frac, tuple(out), True
+
+
+def _keep_heap() -> None:
+    """Fix glibc's malloc thresholds above a period's tuple (8 bytes a digit,
+    8 MB at the default bound), so that every such tuple reuses freed heap.
+    Left to itself glibc maps a block past its mmap threshold on its own and
+    raises the threshold to each one it frees: a tuple came from the heap or
+    a new mapping by the sizes freed before, and peak RSS varied by 8 MB."""
+    try:
+        import ctypes
+        libc = ctypes.CDLL(None)
+        libc.mallopt(-3, 16 << 20)  # M_MMAP_THRESHOLD
+        libc.mallopt(-1, 32 << 20)  # M_TRIM_THRESHOLD: free heap below this stays for the next
+    except (ImportError, AttributeError, OSError, TypeError):  # no ctypes, or no mallopt
+        pass
 
 
 def _expand(x: Fraction, base: int, max_frac: int, detect_repetend: bool) -> Expansion:

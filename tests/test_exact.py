@@ -1365,6 +1365,32 @@ class TestRepetendRoutes:
         assert [int(d) for d in digits60.split()] == frac_stream(1, 30_000_023, 60, 64)
         assert [int(d) for d in digits10.split()] == frac_stream(1, 30_000_023, 10, 64)
 
+    # glibc's own mmap threshold rises to each mapped block it frees, so a
+    # period's 8 MB tuple went to the heap or to a new mapping by the sizes
+    # of those freed before; a period of 1 << 17 digits or more fixes both
+    @pytest.mark.parametrize("den, fixed", [(7, False), (130_859, False), (131_149, True)])
+    def test_long_period_fixes_the_heap_thresholds(self, den, fixed, monkeypatch):
+        ctypes = pytest.importorskip("ctypes")
+        calls = []
+
+        class Libc:
+            def __init__(self, name):
+                assert name is None
+
+            def mallopt(self, param, value):
+                calls.append((param, value))
+        monkeypatch.setattr(ctypes, "CDLL", Libc)
+        assert len(to_decimal(Fraction(1, den)).period) == den - 1
+        assert calls == ([(-3, 16 << 20), (-1, 32 << 20)] if fixed else [])
+
+    def test_heap_thresholds_without_a_c_library(self, monkeypatch):
+        ctypes = pytest.importorskip("ctypes")
+
+        def refuse(name):
+            raise OSError("no C library")
+        monkeypatch.setattr(ctypes, "CDLL", refuse)
+        assert exact._keep_heap() is None
+
 
 def _naive_text(info):
     # the rendering of earlier versions: str(d) per digit
