@@ -54,7 +54,7 @@ def _render_value(x: Rational, notation: str, precision: int, mode: str) -> str:
     number, info = to_sexagesimal(x, precision, mode, detect_repetend=True)
     # a found period is shown whole, in parentheses; else the rounded number
     shown = info if info.period else number
-    style = {"symbols": DEFAULT_TABLE.forward} if notation == "glyph" else {}
+    style = {"symbols": DEFAULT_TABLE._alphabet} if notation == "glyph" else {}
     return _render(
         shown.sign, shown.int_digits, shown.frac_digits, info.period, info.terminates_within(precision), **style
     )

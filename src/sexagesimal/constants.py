@@ -121,11 +121,11 @@ def encode_scientific(
     # the leading sexagesit is nonzero, so some digit remains
     digits = bytes(f.mantissa).rstrip(b"\0")
     exponent = f.exponent - len(digits)
-    glyphs = _render(1, digits, symbols=table.forward)
+    glyphs = _render(1, digits, symbols=table._alphabet)
     if exponent == 0:
         notation = ""
     else:
-        mag = _render(exponent, _digits_of_int(abs(exponent)), symbols=table.forward)
+        mag = _render(exponent, _digits_of_int(abs(exponent)), symbols=table._alphabet)
         notation = "10^{" + mag + "}"
     return glyphs, exponent, notation
 
@@ -206,7 +206,7 @@ def render_report(report: VerificationReport, machine: bool = False, table: Glyp
     lines = []
     if machine:
         for s in report.statuses:
-            derived = _render(1, s.derived_digits or (), symbols=table.forward)
+            derived = _render(1, s.derived_digits or (), symbols=table._alphabet)
             lines.append(
                 "\t".join(
                     (

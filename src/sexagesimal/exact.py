@@ -9,6 +9,7 @@ Canonical base-60 text writes sexagesits as decimal numbers separated by
 ``:`` with ``;`` as the radix point, e.g. ``1;59:0:15`` or ``2:49``.
 """
 
+import codecs
 import math
 import re
 import sys
@@ -341,14 +342,18 @@ def _int_of_digits(digits, base: int = BASE) -> int:
 
 
 def _spell(digits, symbols) -> str:
-    """The digits written as symbols[d] each, run together by one
-    `str.translate` over the digits as code points; with no ``symbols``, as
-    canonical ``:``-separated decimal numerals."""
-    if symbols is not None:
-        return bytes(digits).decode("latin-1").translate(symbols)
-    # each sexagesit as one packed-BCD byte, hex-printed with ":" between
-    # bytes; below 10 the tens nibble is f, a mark that is then dropped
-    return bytes(digits).translate(_BCD).hex(":").replace("f", "")
+    """The digits written as symbols[d] each, run together, for a string of
+    ``symbols``: ASCII ones (decimal) by `str.translate`'s ASCII fast path,
+    others (glyphs) by one `codecs.charmap_decode`, with no dict lookup per
+    glyph; with no ``symbols``, as canonical ``:``-separated numerals."""
+    if symbols is None:
+        # each sexagesit as one packed-BCD byte, hex-printed with ":" between
+        # bytes; below 10 the tens nibble is f, a mark that is then dropped
+        return bytes(digits).translate(_BCD).hex(":").replace("f", "")
+    # charmap reads a U+FFFE glyph as its mark for "unmapped"
+    if not symbols.isascii() and "\ufffe" not in symbols:
+        return codecs.charmap_decode(bytes(digits), "strict", symbols)[0]
+    return bytes(digits).decode("latin-1").translate(symbols)
 
 
 def _render(sign, int_digits, frac_digits=(), period=(), complete=True, symbols=None, point=";") -> str:
@@ -356,7 +361,7 @@ def _render(sign, int_digits, frac_digits=(), period=(), complete=True, symbols=
     integer digits, ``point`` and the fractional digits when there are any
     or a period, the period in parentheses, else ``...`` when incomplete.
     A digit d is written symbols[d] with nothing between digits (a glyph
-    table's ``forward`` for glyphs, `_ASCII_DIGITS` for decimal digits), or
+    table's ``_alphabet`` for glyphs, `_ASCII_DIGITS` for decimal digits), or
     without ``symbols`` as a canonical ``:``-separated sexagesit."""
     text = _spell(int_digits, symbols)
     if frac_digits or period:
@@ -725,11 +730,13 @@ def _emit_digits(out: bytearray | list, r: int, den: int, base: int, n: int) -> 
       bits: ``divmod(r * base**c, den)`` per c digits, spelled by ``"%d"``
       (c = `_DEC_BLOCK`) or `_digits_of_int` (c digits of about bits(den)
       bits, a balanced division), so time is near linear in n;
-    - else lanes: K = isqrt(n) + 1 long divisions side by side in byte
+    - else lanes: K = isqrt(2n) + 1 long divisions side by side in byte
       fields of one integer (Lamport, CACM 1975), field j yielding digits
       j*S to (j+1)*S - 1 from r * base**(j*S) mod den, S = ceil(n / K), by
-      one fixed reciprocal of den (Granlund & Montgomery, PLDI 1994); a
-      field spans about 2 * bits(den) bits, hence the chunks past that.
+      one fixed reciprocal of den (Granlund & Montgomery, PLDI 1994); up to
+      a field's width of steps are ORed into one integer, a byte of every
+      field each, for one ``to_bytes``; a field spans about 2 * bits(den)
+      bits, hence the chunks past that.
     """
     if base != 10 and n <= _LONGDIV_DIGITS and den * base < _ONE_DIGIT:
         for _ in range(n):
@@ -749,7 +756,7 @@ def _emit_digits(out: bytearray | list, r: int, den: int, base: int, n: int) -> 
                      else bytes(_digits_of_int(q, base, c)))
             n -= c
         return r
-    lanes = math.isqrt(n) + 1
+    lanes = math.isqrt(2 * n) + 1
     steps = -(-n // lanes)
     # x * inv >> shift is x // den for every x < base * den, and a field holds
     # x * inv < (base + 1) * 2**shift with bits to spare below the next field
@@ -765,7 +772,6 @@ def _emit_digits(out: bytearray | list, r: int, den: int, base: int, n: int) -> 
     # after the shift each field's digit sits in its low bits, below the
     # shifted-in low bits of the next field
     mask = int.from_bytes(((1 << base.bit_length()) - 1).to_bytes(width, "little") * lanes, "little")
-    size = lanes * width
     # grow ``out`` in place to its lanes' end, since every byte there is written
     # below: a zero-filled n-byte temporary left the heap where a period's
     # tuple goes split, and raised peak RSS by up to 8 MB at 10**6 digits
@@ -774,12 +780,17 @@ def _emit_digits(out: bytearray | list, r: int, den: int, base: int, n: int) -> 
     while len(out) < end:
         out *= 2
     del out[end:]
-    for i in range(steps):
-        x = rem * base
-        d = (x * inv >> shift) & mask
-        rem = x - d * den
-        # a digit < base <= 256 is the low byte of its field
-        out[at + i :: steps] = d.to_bytes(size, "little")[::width]
+    for i in range(0, steps, width):
+        # step i + t's digits in byte t of each field: a digit < base <= 256 is a byte
+        packed, k = 0, min(width, steps - i)
+        for t in range(0, 8 * k, 8):
+            x = rem * base
+            d = (x * inv >> shift) & mask
+            rem = x - d * den
+            packed |= d << t
+        raw = packed.to_bytes(lanes * width, "little")
+        for t in range(k):
+            out[at + i + t :: steps] = raw[t::width]
     del out[at + n :]
     return r * pow(base, n, den) % den
 
@@ -860,12 +871,13 @@ def _keep_heap() -> None:
         pass
 
 
-def _expand(x: Fraction, base: int, max_frac: int, detect_repetend: bool) -> Expansion:
+def _expand(x: Fraction, base: int, max_frac: int, detect_repetend: bool) -> tuple[Expansion, int | None]:
     num, den = abs(x.numerator), x.denominator
     sign = 0 if num == 0 else (1 if x.numerator > 0 else -1)
     preperiod, rest = _split_denominator(den, base)
     terminates = rest == 1
     period: tuple[int, ...] = ()
+    r = None  # the remainder after frac, when it holds max_frac digits made here
     if terminates:
         # den | base**preperiod, so this is num / den * base**preperiod exactly
         digits = _digits_of_int(num * (base**preperiod // den), base, preperiod + 1)
@@ -879,9 +891,9 @@ def _expand(x: Fraction, base: int, max_frac: int, detect_repetend: bool) -> Exp
             frac, period, complete = _repetend(rem, den, rest, base, preperiod, max_frac)
         else:
             frac, complete = [], False
-            _emit_digits(frac, rem, den, base, max_frac)
+            r = _emit_digits(frac, rem, den, base, max_frac)
 
-    return Expansion(sign, int_digits, frac, period, base, terminates, preperiod if terminates else None, complete)
+    return Expansion(sign, int_digits, frac, period, base, terminates, preperiod if terminates else None, complete), r
 
 
 def to_sexagesimal(
@@ -897,20 +909,21 @@ def to_sexagesimal(
         raise DomainError("max_frac must be non-negative")
     _check_mode(mode)
     x = _rational(x)
-    info = _expand(x, BASE, max_frac, detect_repetend)
+    info, r = _expand(x, BASE, max_frac, detect_repetend)
     if info.terminates_within(max_frac):
         # exact at this budget: the expansion's digits are the number's
         return SexNumber.from_digits(info.sign, bytes(info.int_digits + info.frac_digits), info.frac_len), info
     # the first max_frac fractional digits: the pre-period, then the period
     # repeated (sliced before bytes(), as a period may be far longer), and
     # past a give-up the digits the search did not reach; r is the remainder
-    # after them
+    # after them, which `_expand` returns when it made the digits itself
     num, den = abs(x.numerator), x.denominator
     frac = bytearray(info.frac_digits[:max_frac])
     if info.period:
         frac += bytes(info.period[:max_frac]) * -((len(frac) - max_frac) // len(info.period))
         del frac[max_frac:]
-    r = _emit_digits(frac, num * pow(BASE, len(frac), den) % den, den, BASE, max_frac - len(frac))
+    if r is None:
+        r = _emit_digits(frac, num * pow(BASE, len(frac), den) % den, den, BASE, max_frac - len(frac))
     # a spare leading 0 takes a carry out of the top
     digits = bytearray(1) + bytes(info.int_digits) + frac
     d = digits[-1]
@@ -943,4 +956,4 @@ def to_decimal(x: Fraction, max_frac: int = 64, detect_repetend: bool = True) ->
     """
     if max_frac < 0:
         raise DomainError("max_frac must be non-negative")
-    return _expand(_rational(x), 10, max_frac, detect_repetend)
+    return _expand(_rational(x), 10, max_frac, detect_repetend)[0]

@@ -77,6 +77,8 @@ class GlyphTable(_Record):
         bulk_map.update({ord(g): v for g, v in [*reverse.items(), *aliases.items()]})
         bulk_map.update({ord(" "): None, ord("-"): 255, ord(";"): 254})
         _setattr(self, "_bulk_map", bulk_map)
+        # derived too: each value's glyph at its index, the string `_render` spells with
+        _setattr(self, "_alphabet", "".join(forward[v] for v in range(BASE)))
 
     def glyph(self, value: int) -> str:
         return self.forward[value]
@@ -114,7 +116,7 @@ def _read_tsv(resource: str) -> list[list[str]]:
 
 def encode_glyphs(x: SexNumber, table: GlyphTable = DEFAULT_TABLE) -> str:
     """One canonical glyph per sexagesit; ``;`` as radix point, ``-`` sign."""
-    return _render(x.sign, x.int_digits, x.frac_digits, symbols=table.forward)
+    return _render(x.sign, x.int_digits, x.frac_digits, symbols=table._alphabet)
 
 
 def _decode_raw(text: str, table: GlyphTable) -> list[int]:

@@ -43,6 +43,7 @@ from sexagesimal import (
     SexNumber,
     arith,
     decode_canonical,
+    encode_glyphs,
     from_sexagesimal,
     int_sqrt,
     is_regular,
@@ -620,6 +621,26 @@ class TestRounding:
         for mode in ROUNDING_MODES:
             number, _ = to_sexagesimal(x, max_frac, mode, detect)
             assert number.frac_count <= max_frac and abs(from_sexagesimal(number) - x) < Fraction(1, 60**max_frac)
+
+    @given(rationals(max_num=10**30, max_den=2**96), st.integers(0, 300), st.sampled_from(ROUNDING_MODES))
+    def test_detection_does_not_change_the_number(self, x, max_frac, mode):
+        # with detection the remainder after max_frac places comes from a
+        # modular power, without it from the expansion's own long division
+        off, _ = to_sexagesimal(x, max_frac, mode)
+        on, _ = to_sexagesimal(x, max_frac, mode, detect_repetend=True)
+        assert off == on
+
+    def test_remainder_comes_with_the_expansion(self, monkeypatch):
+        # without detection the expansion's digits are the number's, and the
+        # remainder after them is not found a second time
+        calls = []
+        emit = exact._emit_digits
+        monkeypatch.setattr(exact, "_emit_digits", lambda *args: calls.append(args[4]) or emit(*args))
+        for mode in ROUNDING_MODES:
+            calls.clear()
+            number, _ = to_sexagesimal(Fraction(1, 7), 7, mode)  # the next place holds 34
+            assert calls == [7]
+            assert number.canonical_text() == ("0;8:34:17:8:34:17:8" if mode == TRUNC else "0;8:34:17:8:34:17:9")
 
     @pytest.mark.parametrize("detect", [False, True])
     def test_million_places_within_deadline(self, detect):
@@ -1268,6 +1289,31 @@ class TestEmitLanes:
             assert _emit_digits(walk, r, den, base, n) == r * pow(base, n, den) % den
             assert list(walk) == frac_stream(r, den, base, n)
 
+    # the lanes OR up to a field's width of steps into one integer, step t's
+    # digits in byte t of every field, for one to_bytes: cover a last group
+    # that is full (steps % width == 0), one step long and one step short,
+    # with fields from one byte (base 2 over den 1) to 27 (base 256, 96
+    # bits), and n either side of where K = isqrt(2n) + 1 lanes gain one
+    @pytest.mark.parametrize("base", [2, 60, 256])
+    @pytest.mark.parametrize("bits", [1, 2, 8, 24, 25, 32, 48, 64, 95, 96])
+    def test_packed_steps_against_long_division(self, base, bits):
+        rng = random.Random(1000 * base + bits)
+        den = rng.getrandbits(bits) | 1 << (bits - 1)
+        r = rng.randrange(den)
+        shift = (base * den).bit_length() + den.bit_length() + 1
+        width = -(-(shift + base.bit_length() + 2) // 8)  # bytes per field, as _emit_digits picks it
+        wanted = {0, 1 % width, width - 1}
+        edges = {k * k // 2 + e for k in (21, 40, 63) for e in (-1, 0, 1)}
+        for n in range(_LONGDIV_DIGITS + 1, 20 * _LONGDIV_DIGITS):
+            steps = -(-n // (math.isqrt(2 * n) + 1))
+            if steps % width not in wanted and n not in edges:
+                continue
+            wanted.discard(steps % width)
+            for walk in (bytearray([7]), [7]):  # _expand hands the emitter a list
+                assert _emit_digits(walk, r, den, base, n) == r * pow(base, n, den) % den
+                assert list(walk) == [7] + frac_stream(r, den, base, n), (n, steps, width)
+        assert not wanted
+
     def test_base_sixty_period_within_deadline(self):
         # 1/999983 has a 999982-sexagesit period.  One 60**4 quotient per
         # interpreter step made its base-60 expansion cost 5-6.5x the base-10
@@ -1428,6 +1474,15 @@ class TestRendering:
         assert info.period_text == _naive_text(exact.Expansion(1, info.period, (), (), base, True, 0, True))
         shown = exact.Expansion(info.sign, info.int_digits, info.frac_digits, (), base, True, None, True)
         assert info.preperiod_text == _naive_text(shown)
+
+    def test_glyph_text_costs_at_most_canonical_text(self):
+        # one dict lookup per glyph in str.translate made glyph text of
+        # 10**5 sexagesits cost 2.1-2.3x its canonical text
+        rng = random.Random(22)
+        digits = [rng.randrange(1, 60)] + [rng.randrange(60) for _ in range(10**5 - 1)]
+        x = SexNumber.from_digits(1, digits, 50_000)
+        glyphs, canonical = _best_of(lambda: encode_glyphs(x), x.canonical_text)
+        assert glyphs <= canonical
 
     @pytest.mark.parametrize("base", [10, 60])
     def test_long_period_costs_at_most_its_expansion(self, base):

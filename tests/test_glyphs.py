@@ -1,5 +1,7 @@
 """Glyph codec and canonical text codec."""
 
+import random
+
 import pytest
 from hypothesis import given
 
@@ -162,3 +164,25 @@ class TestGlyphTable:
         forward = dict(DEFAULT_TABLE.forward)
         with pytest.raises(ValueError):
             GlyphTable(forward=forward, aliases={"ϕ": 99})
+
+    def test_astral_table_round_trips_a_long_number(self):
+        # cuneiform numerals, from U+12415 on, lie past the Basic
+        # Multilingual Plane: four bytes a code point in a str
+        table = GlyphTable(dict(enumerate(map(chr, range(0x12415, 0x12415 + 60)))), aliases={})
+        rng = random.Random(12415)
+        digits = [rng.randrange(1, 60)] + [rng.randrange(60) for _ in range(9_999)]
+        x = SexNumber.from_digits(-1, digits, 4_000)
+        text = encode_glyphs(x, table)
+        glyphs = [chr(0x12415 + d) for d in digits]
+        assert text == "-" + "".join(glyphs[:6_000]) + ";" + "".join(glyphs[6_000:])
+        assert decode_glyphs(text, table) == x
+
+    def test_fffe_glyph_renders_as_itself(self):
+        # U+FFFE is a valid glyph, though codecs' charmap tables use it as
+        # the mark of an unmapped byte
+        forward = {**DEFAULT_TABLE.forward, 7: "\ufffe"}
+        table = GlyphTable(forward)
+        x = SexNumber.from_digits(1, [7, 1, 7, 59, 0, 7], 3)
+        text = encode_glyphs(x, table)
+        assert text == "\ufffe1\ufffe;ω0\ufffe"
+        assert decode_glyphs(text, table) == x
