@@ -22,7 +22,7 @@ from .algorithms import (
     triple_from_generators,
 )
 from .constants import encode_scientific, render_report, verify_table
-from .errors import SexagesimalError
+from .errors import SexagesimalError, quote
 from .exact import (
     ROUNDING_MODES,
     TRUNC,
@@ -60,8 +60,16 @@ def _render_value(x: Rational, notation: str, precision: int, mode: str) -> str:
     )
 
 
+def _int(text: str, kind: str = "int") -> int:
+    # argparse's own message would repeat a rejected argument whole
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid {kind} value: {quote(text)}") from None
+
+
 def _precision(text: str) -> int:
-    value = int(text)
+    value = _int(text, "_precision")
     if not 1 <= value <= 64:
         raise argparse.ArgumentTypeError("precision must be in 1..64")
     return value
@@ -117,7 +125,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("divisors", help="nontrivial divisors and regularity")
     p.set_defaults(run=_cmd_divisors, origin="algorithms")
     p.add_argument("--format", choices=("human", "machine"), default="human")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_int)
 
     p = sub.add_parser("plimpton", help="reconstruct the embedded Plimpton 322 table")
     p.set_defaults(run=_cmd_plimpton, origin="algorithms")
@@ -126,7 +134,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ratio", choices=(RATIO_DIAGONAL, RATIO_SHORT), default=RATIO_DIAGONAL,
                    help="ratio column interpretation (default d2b2)")
     p.add_argument("--format", choices=("human", "machine"), default="human")
-    p.add_argument("--generators", nargs=2, type=int, metavar=("P", "Q"),
+    p.add_argument("--generators", nargs=2, type=_int, metavar=("P", "Q"),
                    help="emit the triple generated by (P, Q) instead")
 
     p = sub.add_parser("constants", help="verify the embedded constants table")

@@ -234,17 +234,18 @@ def _digits_of_int(n: int, base: int = BASE, width: int = 1) -> list[int]:
     left-padded with zeros to ``width`` digits when shorter (zero has no
     digits of its own, so it comes back as ``width`` zeros).
 
-    Up to `_DC_BITS` bits, one divmod per digit.  Past that, n is split in
-    halves on base**(`_FOLD_LEAF` * 2**k) by `_divmod`, whose recursive
-    division keeps the split subquadratic on every CPython (the builtin
-    divmod is quadratic through 3.11).  The power tower stops at the first
-    power whose square is sure to exceed n, by bit lengths, and the split
-    starts there.  The leaves, each below base**64, become digits together
-    in six steps over packed fields of one integer, the inverse of
-    `_int_of_digits`'s fold: each step splits every field's x < P**2, for P
-    = base**32 down to base**1, into x // P and x % P, the quotient from a
-    fixed reciprocal of P (Granlund & Montgomery, PLDI 1994), in two fields
-    of half the width."""
+    Up to `_DC_BITS` bits, one divmod per digit.  Past that, n is split one
+    level at a time, most significant first, down the power tower
+    base**(`_FOLD_LEAF` * 2**k) from its first power whose square is sure to
+    exceed n, by bit lengths: each level halves every leaf on the next power
+    by `_divmod`, whose recursive division keeps the split subquadratic on
+    every CPython (the builtin divmod is quadratic through 3.11), and drops
+    a leading zero leaf.  The leaves, each below base**64, become digits
+    together in six steps over packed big-endian fields of one integer, the
+    inverse of `_int_of_digits`'s fold: each step splits every field's
+    x < P**2, for P = base**32 down to base**1, into x // P and x % P, the
+    quotient from a fixed reciprocal of P (Granlund & Montgomery, PLDI
+    1994), in two fields of half the width."""
     if n.bit_length() <= _DC_BITS:
         out = []
         while n:
@@ -257,43 +258,30 @@ def _digits_of_int(n: int, base: int = BASE, width: int = 1) -> list[int]:
     # a square has at least 2b - 1 bits for a power of b bits
     while 2 * powers[-1].bit_length() - 1 <= n.bit_length():
         powers.append(powers[-1] * powers[-1])
-    leaves = []  # least significant first
-
-    def split(n: int, k: int, pad: bool):
-        # the leaves of n < powers[k]: all 2**k of them when pad, else
-        # without leading zero leaves
-        if pad and not n:
-            leaves.extend([0] * (1 << k))
-        elif k == 0:
-            leaves.append(n)
-        else:
-            hi, lo = _divmod(n, powers[k - 1])
-            split(lo, k - 1, True)
-            if hi or pad:
-                split(hi, k - 1, pad)
-
-    # n < powers[-1]**2, the power of level len(powers)
-    split(n, len(powers), False)
+    leaves = [n]
+    for p in reversed(powers):
+        leaves = [half for v in leaves for half in _divmod(v, p)]
+        if not leaves[0]:
+            del leaves[0]
     # A field of w bytes holds x < P**2 for P = base**m, m = 32 * w // size,
     # and 8w >= 4 * bits(P) + 1 for every m when size >= 16 * bits(base) + 4.
     # With s = 3 * bits(P) and inv = ceil(2**s / P), x * inv >> s is x // P
     # exactly, and x * inv < 2**(4 * bits(P) + 1) stays inside the field, its
     # bits shifted below the next field's quotient.
     size = -(-(16 * base.bit_length() + 4) // _FOLD_LEAF) * _FOLD_LEAF  # bytes per leaf
-    count = len(leaves)
-    x = int.from_bytes(b"".join(v.to_bytes(size, "little") for v in leaves), "little")
+    nbytes = len(leaves) * size  # of x, at every field width
+    x = int.from_bytes(b"".join(v.to_bytes(size, "big") for v in leaves), "big")
     m, w = _FOLD_LEAF // 2, size
     while m:
         p = base**m
         bits = p.bit_length()
         shift = 3 * bits
-        low_bits = int.from_bytes(((1 << bits) - 1).to_bytes(w, "little") * count, "little")
+        low_bits = int.from_bytes(((1 << bits) - 1).to_bytes(w, "big") * (nbytes // w), "big")
         q = x * -(-(1 << shift) // p) >> shift & low_bits
         w //= 2
         x = x - q * p | q << 8 * w  # the remainder in the low half, the quotient in the high
-        count *= 2
         m //= 2
-    digits = x.to_bytes(count * w, "little")[::w][::-1]  # a digit in the low byte of each field
+    digits = x.to_bytes(nbytes, "big")[w - 1 :: w]  # a digit in the low byte of each field
     return list(digits.lstrip(b"\0").rjust(width, b"\0"))
 
 
@@ -392,15 +380,16 @@ class _Record:
     """Immutable value behaviour over the fields a subclass annotates, in
     order, which its ``__init__`` sets with `_setattr`: fields cannot be
     assigned or deleted, records of one class compare and hash by their
-    field values, and the repr is ``Name(field=value, ...)``.  The fields
-    are also the positional ``match`` arguments, unless the subclass
-    names its own ``__match_args__``.  A subclass of a record keeps its
-    parent's fields, followed by any it annotates itself; if it annotates
-    some and defines no ``__init__``, `_field_init` writes one, which
-    stores a field annotated ``tuple[...]`` as a tuple of any iterable it
-    is given.  A record whose fields obey rules states them in a
-    ``_check`` method, which reads the fields set and raises on a bad one;
-    the written ``__init__`` calls it last, and `_build` does not."""
+    field values (`GlyphTable`'s read-only maps make its hash raise
+    `TypeError`), and the repr is ``Name(field=value, ...)``.  The fields
+    are also the positional ``match`` arguments, unless the subclass names
+    its own ``__match_args__``.  A subclass of a record keeps its parent's
+    fields, followed by any it annotates itself; if it annotates some and
+    defines no ``__init__``, `_field_init` writes one, which stores a field
+    annotated ``tuple[...]`` as a tuple of any iterable it is given.  A
+    record whose fields obey rules states them in a ``_check`` method,
+    which reads the fields set and raises on a bad one; the written
+    ``__init__`` calls it last, and `_build` does not."""
 
     def __init_subclass__(cls):
         super().__init_subclass__()
@@ -861,7 +850,9 @@ def _keep_heap() -> None:
     8 MB at the default bound), so that every such tuple reuses freed heap.
     Left to itself glibc maps a block past its mmap threshold on its own and
     raises the threshold to each one it frees: a tuple came from the heap or
-    a new mapping by the sizes freed before, and peak RSS varied by 8 MB."""
+    a new mapping by the sizes freed before, and peak RSS varied by 8 MB.
+    Heap growth stays unbounded in general: a block longer than every free
+    hole still extends the heap when a live allocation sits above it."""
     try:
         import ctypes
         libc = ctypes.CDLL(None)

@@ -392,6 +392,49 @@ class TestBoundedInput:
         assert message in proc.stderr
         assert proc.stderr.endswith(f": {literal[:40]!r}... (5000 characters)\n")
 
+    # argparse repeats a rejected argument whole, so the integer arguments
+    # are read by a type function that clips it like any other quote
+    @pytest.mark.parametrize(
+        "argv, literal",
+        [(["divisors", "1" * 4301], "1" * 4301), (["convert", "--p", "1" * 5001, "1"], "1" * 5001)],
+        ids=["divisors", "precision"],
+    )
+    def test_long_argument_gives_short_usage_error(self, argv, literal):
+        proc = run_python(["-X", "int_max_str_digits=4300", "-m", "sexagesimal", *argv], timeout=20)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert all(len(line) < 200 for line in proc.stderr.splitlines())
+        assert proc.stderr.endswith(f" value: {literal[:40]!r}... ({len(literal)} characters)\n")
+
+    # up to 40 characters the text is argparse's own
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (
+                ["divisors", "abc"],
+                "usage: sexagesimal divisors [-h] [--format {human,machine}] n\n"
+                "sexagesimal divisors: error: argument n: invalid int value: 'abc'\n",
+            ),
+            (
+                ["convert", "--p", "x", "1"],
+                "usage: sexagesimal convert [-h] [--p N] [--round {trunc,half-up,half-even}]\n"
+                "                           [--from {decimal,canonical,glyph}]\n"
+                "                           [--to {decimal,canonical,glyph}]\n"
+                "                           value\n"
+                "sexagesimal convert: error: argument --p: invalid _precision value: 'x'\n",
+            ),
+            (
+                ["plimpton", "--generators", "3", "y"],
+                "usage: sexagesimal plimpton [-h] [--check] [--ratio {d2b2,a2b2}]\n"
+                "                            [--format {human,machine}] [--generators P Q]\n"
+                "sexagesimal plimpton: error: argument --generators: invalid int value: 'y'\n",
+            ),
+        ],
+        ids=["divisors", "precision", "generators"],
+    )
+    def test_short_argument_usage_error(self, argv, expected):
+        proc = run_python(["-m", "sexagesimal", *argv], timeout=20, env={"COLUMNS": "80"})
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", expected)
+
     @pytest.mark.parametrize("literal", ["1e-999999999", "1e99999999", "0e4301"])
     def test_exponent_past_limit_is_a_parse_error(self, literal):
         # each built 10**|exponent| and ran past any timeout

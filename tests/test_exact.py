@@ -1252,14 +1252,18 @@ class TestEmitDigits:
 
 
 def _lane_edges(k):
-    # K = k lanes serve n in [(k-1)**2, k*k - 1], with S = ceil(n / K) steps:
-    # n = k*(k-1) fills every lane, one more leaves K - 1 digits trimmed
-    edges = {0, 1, k - 1, k, k + 1, k * k - k - 1, k * k - k, k * k - k + 1, k * k - 1, k * k}
+    # K = isqrt(2n) + 1 = k lanes serve n in [lo, hi], with S = ceil(n / K)
+    # steps: n = K*S fills every lane's last step, K*S - 1 leaves one digit
+    # trimmed and K*S - K + 1 leaves K - 1
+    lo, hi = -(-((k - 1) ** 2) // 2), (k * k - 1) // 2
+    assert math.isqrt(2 * lo) + 1 == math.isqrt(2 * hi) + 1 == k == math.isqrt(2 * hi + 2)
+    edges = {0, 1, lo - 1, lo, lo + 1, hi - 1, hi, hi + 1}
+    edges.update(n for n in range(lo, hi + 1) if -n % k in (0, 1, k - 1))
     return sorted(n for n in edges if n >= 0)
 
 
 class TestEmitLanes:
-    # past _LONGDIV_DIGITS digits every base but 10 runs isqrt(n) + 1 long
+    # past _LONGDIV_DIGITS digits every base but 10 runs isqrt(2n) + 1 long
     # divisions side by side in the fields of one integer, for a den of up to
     # _LANE_BITS bits; field widths follow den and base, so cover byte-sized
     # and 256-ary digits.  The same draws reach per-digit long division and
@@ -1267,7 +1271,7 @@ class TestEmitLanes:
     @given(
         st.sampled_from([2, 7, 60, 256]),
         st.one_of(st.integers(1, 2**64), st.integers(2**64, 2**200)),
-        st.integers(1, 60).flatmap(lambda k: st.sampled_from(_lane_edges(k))),
+        st.integers(1, 85).flatmap(lambda k: st.sampled_from(_lane_edges(k))),
         st.data(),
     )
     def test_against_per_digit_long_division(self, base, den, n, data):
