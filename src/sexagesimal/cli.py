@@ -22,7 +22,7 @@ from .algorithms import (
     triple_from_generators,
 )
 from .constants import encode_scientific, render_report, verify_table
-from .errors import SexagesimalError, quote
+from .errors import QUOTE_CHARS, SexagesimalError, quote
 from .exact import (
     ROUNDING_MODES,
     TRUNC,
@@ -56,7 +56,7 @@ def _render_value(x: Rational, notation: str, precision: int, mode: str) -> str:
     shown = info if info.period else number
     style = {"symbols": DEFAULT_TABLE._alphabet} if notation == "glyph" else {}
     return _render(
-        shown.sign, shown.int_digits, shown.frac_digits, info.period, info.terminates_within(precision), **style
+        shown.sign, shown.int_digits, shown.frac_digits, info._period_digits, info.terminates_within(precision), **style
     )
 
 
@@ -75,8 +75,28 @@ def _precision(text: str) -> int:
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with a long argument clipped by `quote` in the usage errors
+    it words itself, an invalid choice and unrecognized arguments; a short
+    argument keeps argparse's text.  Subcommand parsers are of this class
+    too."""
+
+    def _check_value(self, action, value):
+        try:
+            super()._check_value(action, value)
+        except argparse.ArgumentError as exc:
+            exc.message = exc.message.replace(repr(value), quote(value), 1)
+            raise
+
+    def parse_args(self, args=None, namespace=None):
+        args, extras = self.parse_known_args(args, namespace)
+        if extras:
+            self.error("unrecognized arguments: " + " ".join(a if len(a) <= QUOTE_CHARS else quote(a) for a in extras))
+        return args
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sexagesimal",
         description="Exact base-60 arithmetic, codecs and table verification.",
     )

@@ -1,5 +1,6 @@
 """Golden-file and exit-code contract for the command line."""
 
+import argparse
 import contextlib
 import io
 import random
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import frac_stream, run_python
-from sexagesimal import algorithms, exact
+from sexagesimal import algorithms, cli, exact
 from sexagesimal.cli import main
 from sexagesimal.glyphs import DEFAULT_TABLE, encode_glyphs
 
@@ -265,6 +266,20 @@ class TestWideDenominator:
         # the last six digits start at remainder 60**(period - 6) = 60**-6 mod D
         assert period[-6:] == frac_stream(pow(60, -6, den), den, 60, 6)
 
+    # 1/(60**k + 1) = (60**k - 1)/(60**2k - 1) repeats k digits 0 and k
+    # digits 59, halves that mirror each other, so the second half is the
+    # complement of the first; 1/((60**k - 1)/59) = 59/(60**k - 1) repeats k
+    # - 1 digits 0 and a 59, an even period whose denominator is too long
+    # for mirrored halves, so it is emitted whole
+    @pytest.mark.parametrize(
+        "operand, period",
+        [("1" + ":0" * 59_999 + ":1", ["0"] * 60_000 + ["59"] * 60_000), ("1" + ":1" * 59_999, ["0"] * 59_999 + ["59"])],
+        ids=["mirrored", "repunit"],
+    )
+    def test_even_period_within_deadline(self, operand, period):
+        proc = run_python(["-m", "sexagesimal", "arith", "--from", "canonical", "div", "1", operand], timeout=2)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0;(" + ":".join(period) + ")\n", "")
+
 
 def test_sqrt_of_small_value_finishes():
     # from the start 1 the exact iterates doubled in size for 18 steps
@@ -434,6 +449,39 @@ class TestBoundedInput:
     def test_short_argument_usage_error(self, argv, expected):
         proc = run_python(["-m", "sexagesimal", *argv], timeout=20, env={"COLUMNS": "80"})
         assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", expected)
+
+    # argparse words an invalid choice, an unknown subcommand and
+    # unrecognized arguments itself; a long argument is clipped in them like
+    # any other quote, and one of up to 40 characters keeps argparse's text
+    ARGPARSE_ERRORS = pytest.mark.parametrize(
+        "template",
+        [["convert", "--round", None, "1"], ["divisors", "60", None], [None]],
+        ids=["choice", "unrecognized", "subcommand"],
+    )
+
+    @ARGPARSE_ERRORS
+    def test_long_argument_clipped_in_argparse_errors(self, template):
+        literal = "x" * 5000
+        argv = [literal if arg is None else arg for arg in template]
+        proc = run_python(["-m", "sexagesimal", *argv], timeout=20, env={"COLUMNS": "80"})
+        assert (proc.returncode, proc.stdout) == (2, "")
+        # the usage lines are argparse's, some past 80 columns on 3.13
+        lines = proc.stderr.splitlines()
+        assert max(map(len, lines)) < 250 and literal[:41] not in proc.stderr
+        assert f"{literal[:40]!r}... (5000 characters)" in lines[-1]
+
+    @ARGPARSE_ERRORS
+    def test_short_argument_keeps_argparse_text(self, template, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        argv = ["x" * 40 if arg is None else arg for arg in template]
+        errors = []
+        for parser in (cli._Parser, argparse.ArgumentParser):
+            monkeypatch.setattr(cli, "_Parser", parser)
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            errors.append(capsys.readouterr())
+        assert errors[0] == errors[1] and "x" * 40 in errors[0].err
 
     @pytest.mark.parametrize("literal", ["1e-999999999", "1e99999999", "0e4301"])
     def test_exponent_past_limit_is_a_parse_error(self, literal):

@@ -1,9 +1,11 @@
 """Rational parsing/arithmetic and exact base-60 / base-10 expansion."""
 
 import contextlib
+import copy
 import inspect
 import itertools
 import math
+import pickle
 import random
 import sys
 import time
@@ -29,6 +31,7 @@ from sexagesimal.exact import (
     _digits_of_int,
     _divmod,
     _emit_digits,
+    _expand,
     _int_of_digits,
     _order,
     _split_denominator,
@@ -1442,6 +1445,184 @@ class TestRepetendRoutes:
         assert exact._keep_heap() is None
 
 
+def _prime_factors(n):
+    factors, p = set(), 2
+    while p * p <= n:
+        while n % p == 0:
+            factors.add(p)
+            n //= p
+        p += 1
+    return factors | ({n} if n > 1 else set())
+
+
+def _primes_of_order(base, order, most=200):
+    """The primes p = order * m + 1, 1 <= m < ``most``, modulo which
+    ``base`` has multiplicative order exactly ``order``."""
+    factors = _prime_factors(order)
+    return [
+        p for p in range(order + 1, order * most, order)
+        if pow(base, order, p) == 1 and all(pow(base, order // q, p) != 1 for q in factors)
+        and all(p % d for d in range(2, math.isqrt(p) + 1))
+    ]
+
+
+def _cyclotomic(n, base):
+    """The n-th cyclotomic polynomial at ``base``, the product of
+    (base**d - 1)**mu(n/d) over the divisors d of n."""
+    num = den = 1
+    for d in range(1, n + 1):
+        m = n // d
+        if n % d or any(m % (q * q) == 0 for q in _prime_factors(m)):
+            continue
+        if len(_prime_factors(m)) % 2:
+            den *= base**d - 1
+        else:
+            num *= base**d - 1
+    return num // den
+
+
+# an odd half period H past _LONGDIV_DIGITS with many divisors
+_H = 315
+
+
+def _mirror_cases(base):
+    """Denominators coprime to ``base`` with the period 2 * `_H`, named
+    by whether base**H is -1 modulo them (the halves mirror) and by their
+    width.  A prime of order 2d, for d | H, has base**H = (-1)**(H/d) = -1,
+    and one of odd order d | H has base**H = 1; every divisor of base**H +
+    1, such as the cyclotomic value at 2H, has base**H = -1."""
+    divisors = [d for d in range(1, _H + 1) if _H % d == 0]
+    narrow = math.prod(min(_primes_of_order(base, 2 * d) or [1]) for d in divisors)
+    odd = min(p for d in divisors[1:] for p in _primes_of_order(base, d) if p > 5)
+    wide = _cyclotomic(2 * _H, base)
+    # past _DC_BITS bits only bases 10 and 60 split off a pre-period, so a
+    # wide den has no prime of 30 * base
+    assert narrow.bit_length() <= _LANE_BITS < wide.bit_length() and math.gcd(wide * odd, 30 * base) == 1
+    return {"narrow-holds": narrow, "narrow-fails": narrow * odd, "wide-holds": wide, "wide-fails": wide * odd}
+
+
+def _expand_against_longdiv(num, den, base):
+    """The period of num/den in ``base``, after checking `_expand`'s result
+    and the bytes it keeps against long division."""
+    x = Fraction(num, den)
+    pre, period = _longdiv(x.numerator, x.denominator, base, limit=10**5)
+    info = _expand(x, base, 8, True)[0]
+    assert info.complete and (info.frac_digits, info.period) == (tuple(pre), tuple(period)), (x, base)
+    assert vars(info)["_period_bytes"] == bytes(period)
+    return period
+
+
+class TestComplementRoute:
+    # an even period L past 2 * _LONGDIV_DIGITS digits is emitted half first
+    # where base**(L/2) may be -1 modulo the denominator's base-coprime part
+    # t; if so its second half is the first's complement, base - 1 - d
+    # (Midy's theorem), else it is emitted too.  Each period must agree
+    # with long division whether the rule holds or not, narrow (a pow()
+    # decides the rule up front up to _LANE_BITS bits) or wide (the
+    # remainder after the first half decides), after a pre-period and under
+    # numerators other than 1.  Only bases 10 and 60 take a pre-period past
+    # _DC_BITS bits, so in the others a wide den has none.
+    @pytest.mark.parametrize("base", [2, 7, 10, 60, 256])
+    def test_against_long_division(self, base):
+        cofactor = min(_prime_factors(base)) ** 3
+        for name, t in _mirror_cases(base).items():
+            assert (pow(base, _H, t) == t - 1) == name.endswith("holds"), name
+            for den in (t, t * cofactor):
+                if den != t and den.bit_length() > _DC_BITS and base not in (10, 60):
+                    continue
+                for num in (1, den // 3 + 1, den - 1):
+                    assert len(_expand_against_longdiv(num, den, base)) == 2 * _H, (name, den)
+
+    # primes of order 2h have base**h = -1: h from either side of
+    # _LONGDIV_DIGITS (the guard) and around lane edges K = 21 and 30 of
+    # the emitter's first half; primes of odd order 2h + 1 are emitted whole
+    @pytest.mark.parametrize("base", [2, 7, 10, 60, 256])
+    def test_periods_near_the_cutoffs(self, base):
+        halves = [*range(_LONGDIV_DIGITS - 4, _LONGDIV_DIGITS + 26), *range(418, 452)]
+        found = {h: _primes_of_order(base, 2 * h) for h in halves}
+        assert any(found[h] for h in halves if h <= _LONGDIV_DIGITS)
+        assert any(found[h] for h in halves if _LONGDIV_DIGITS < h < 230)
+        for h, primes in found.items():
+            for p in primes:
+                assert len(_expand_against_longdiv(1, p, base)) == 2 * h
+                _expand_against_longdiv(p // 2, p * base, base)
+            for p in _primes_of_order(base, 2 * h + 1, 20):
+                assert len(_expand_against_longdiv(1, p, base)) == 2 * h + 1
+
+    # prime powers have even and odd periods: 7**4 has 2058 decimal digits
+    # and 3 * 7**3 sexagesits; 11**4 has 2662 decimal digits, 13310 binary
+    # digits and 5 * 11**3 sexagesits
+    @pytest.mark.parametrize("base", [2, 7, 10, 60, 256])
+    @pytest.mark.parametrize("den", [7**3, 7**4, 11**3, 11**4])
+    def test_prime_powers(self, base, den):
+        if den % base:
+            _expand_against_longdiv(1, den, base)
+            _expand_against_longdiv(den - 2, den * base, base)
+
+    # base**k + 1 has the period 2k with mirrored halves, and 7 * (base**k +
+    # 1) where base**k is -1 modulo 7 too (not in base 60 at k = 201, where
+    # 60 has order 3 modulo 7); the repunit (base**L - 1) / (base - 1) has
+    # the period L and is longer than base**(L/2) + 1, so it is emitted
+    # whole.  In base 2 these stay below _DC_BITS bits.
+    @pytest.mark.parametrize("base", [2, 10, 60])
+    @pytest.mark.parametrize("k", [_LONGDIV_DIGITS, _LONGDIV_DIGITS + 1, 250])
+    def test_known_families(self, base, k):
+        cases = [(base**k + 1, 2 * k), ((base ** (2 * k) - 1) // (base - 1), 2 * k), (base**k - 1, k)]
+        cases.append((7 * (base**k + 1), None))
+        for den, length in cases:
+            period = _expand_against_longdiv(1, den, base)
+            assert length is None or len(period) == length
+
+    # one either side of the bound, the search gives up within the period or
+    # resolves it: a period of 2 * _H digits, after 0 or 3 digits of
+    # pre-period
+    @pytest.mark.parametrize("base", [10, 60])
+    @pytest.mark.parametrize("cofactor", [1, 8])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_either_side_of_the_state_bound(self, base, cofactor, offset, monkeypatch):
+        den = _mirror_cases(base)["narrow-holds"] * cofactor
+        pre, period = _longdiv(1, den, base, limit=10**4)
+        total = len(pre) + len(period)
+        monkeypatch.setattr(exact, "PERIOD_STATE_BOUND", total + offset)
+        info = _expand(Fraction(1, den), base, 2 * total, True)[0]
+        if offset >= 0:
+            assert info.complete and (info.frac_digits, info.period) == (tuple(pre), tuple(period))
+        else:
+            assert not info.complete and info.period == ()
+            assert info.frac_digits == tuple(frac_stream(1, den, base, total - 1))
+
+    # the emitter is asked for the first half of a mirrored period alone;
+    # where the rule fails, for the whole period: in one call up to
+    # _LANE_BITS bits and where the den is past base**(L/2) + 1, in two
+    # halves otherwise
+    @pytest.mark.parametrize("base", [10, 60])
+    def test_digits_asked_of_the_emitter(self, base, monkeypatch):
+        asked = []
+
+        def counting(out, r, den, b, n):
+            asked.append(n)
+            return _emit_digits(out, r, den, b, n)
+        monkeypatch.setattr(exact, "_emit_digits", counting)
+        info = _expand(Fraction(1, 999_983), base, 8, True)[0]
+        assert asked == [0, 499_991] and len(info.period) == 999_982
+        # the first digits, those either side of the middle and the last
+        for start in (0, 499_988, 999_976):
+            window = frac_stream(pow(base, start, 999_983), 999_983, base, 6)
+            assert info.period[start : start + 6] == tuple(window), start
+        cases = _mirror_cases(base)
+        repunit = (base ** (2 * _H) - 1) // (base - 1)
+        for den, calls in (
+            (cases["narrow-holds"], [0, _H]),
+            (cases["narrow-fails"], [0, 2 * _H]),
+            (cases["wide-holds"], [0, _H]),
+            (cases["wide-fails"], [0, _H, _H]),
+            (repunit, [0, 2 * _H]),
+        ):
+            asked.clear()
+            _expand_against_longdiv(1, den, base)
+            assert asked == calls, den
+
+
 def _naive_text(info):
     # the rendering of earlier versions: str(d) per digit
     sep, point = ("", ".") if info.base == 10 else (":", ";")
@@ -1478,6 +1659,19 @@ class TestRendering:
         assert info.period_text == _naive_text(exact.Expansion(1, info.period, (), (), base, True, 0, True))
         shown = exact.Expansion(info.sign, info.int_digits, info.frac_digits, (), base, True, None, True)
         assert info.preperiod_text == _naive_text(shown)
+
+    # an expansion keeps the bytes its period was made in, outside its
+    # fields: it equals, hashes, prints, pickles and copies as the record
+    # the constructor builds from its fields, which keeps no bytes
+    @pytest.mark.parametrize("base, den", [(10, 7), (60, 7), (10, 999_983), (60, 60**250 + 1)])
+    def test_kept_period_bytes_are_no_field(self, base, den):
+        info = _expand(Fraction(-3, den), base, 8, True)[0]
+        built = exact.Expansion(*info._values())
+        assert vars(info)["_period_bytes"] == bytes(info.period) and "_period_bytes" not in vars(built)
+        assert info == built and hash(info) == hash(built) and repr(info) == repr(built)
+        assert str(info) == str(built) and info.period_text == built.period_text
+        assert pickle.dumps(info) == pickle.dumps(built) and pickle.loads(pickle.dumps(info)) == built
+        assert copy.copy(info) == built and copy.deepcopy(info) == built
 
     def test_glyph_text_costs_at_most_canonical_text(self):
         # one dict lookup per glyph in str.translate made glyph text of
