@@ -68,6 +68,12 @@ _DEC_BLOCK = 300
 _ASCII_TO_DIGIT = bytes.maketrans(_ASCII_DIGITS.encode(), bytes(range(10)))
 _LANE_BITS, _LONGDIV_DIGITS, _ONE_DIGIT = 96, 200, 1 << sys.int_info.bits_per_digit
 
+# `_expand` keeps the bytes of a longer period for rendering: keeping them
+# costs about 0.4 us a call, under 0.5% of expanding 4096 digits, while a
+# ``bytes()`` of the period's tuple costs about 6.5 ns a digit (CPython
+# 3.11.7, x86-64)
+_KEPT_PERIOD = 1 << 12
+
 # `_int_of_digits` folds more digits than this as packed byte fields, in
 # leaves of `_FOLD_LEAF` digits; fewer take Horner's rule, which is faster
 # there.  `_digits_of_int` spells its leaves of `_FOLD_LEAF` digits the same
@@ -370,8 +376,8 @@ def _diff_digits(published, derived, record) -> tuple:
 
 # record constructors, `GlyphTable`'s and those `_Record` writes, set fields
 # with this, past `_Record.__setattr__`: bound once, it takes one lookup
-# fewer than object.__setattr__.  The written ones and `_Record._build`, which
-# makes a record with `_new`, set all fields at once as the instance dict.
+# fewer per field than object.__setattr__.  `_Record._build` makes a record
+# with `_new` and sets its fields the same way.
 _setattr = object.__setattr__
 _new = object.__new__
 
@@ -407,10 +413,12 @@ class _Record:
         `SexFloat`, from values its caller has just made valid: they are set
         in field order without ``__init__``'s checks, as `_coprime_fraction`
         builds a `Fraction`.  Three named arguments, not a loop over
-        ``*values``, let one dict display hold them all."""
+        ``*values``, keep it as fast as setting each field by its name."""
         x = _new(cls)
         name1, name2, name3 = cls._fields
-        _setattr(x, "__dict__", {name1: first, name2: second, name3: third})
+        _setattr(x, name1, first)
+        _setattr(x, name2, second)
+        _setattr(x, name3, third)
         return x
 
     def _values(self) -> tuple:
@@ -435,16 +443,13 @@ class _Record:
 
 def _field_init(cls):
     """``__init__(self, f1, ..., fn)`` over ``cls._fields``, compiled once:
-    one `_setattr` of the instance dict, which maps each field, in order, to
-    the value `_stored` names, then ``self._check()`` if the class has one.
-    A field's value in the class body is its default.  One dict display is
-    faster than a `_setattr` per field: 0.58 against 0.98 us for the eight
-    fields of an `Expansion` (CPython 3.11.7, x86-64)."""
+    one `_setattr` per field, in order, of the value `_stored` names, then
+    ``self._check()`` if the class has one.  A field's value in the class
+    body is its default."""
     names = cls._fields
     defaults = {name: getattr(cls, name) for name in names if hasattr(cls, name)}
     params = ", ".join(f"{name}=_defaults[{name!r}]" if name in defaults else name for name in names)
-    items = ", ".join(f"{name!r}: {_stored(name, hint)}" for name, hint in names.items())
-    body = f"\n    _setattr(self, '__dict__', {{{items}}})"
+    body = "".join(f"\n    _setattr(self, {name!r}, {_stored(name, hint)})" for name, hint in names.items())
     if hasattr(cls, "_check"):
         body += "\n    self._check()"
     namespace = {"_setattr": _setattr, "_defaults": defaults, "__name__": cls.__module__}
@@ -613,12 +618,13 @@ class Expansion(_Record):
     it applies.  ``complete`` tells whether the digits shown fully
     characterize the value.
 
-    An expansion `_expand` made with a period also keeps the period's digits
-    as the bytes `_repetend` made, in ``_period_bytes``, which is not a
-    field: rendering reads them without a ``bytes()`` of the tuple, and
-    ``repr``, ``==``, ``hash``, pickles and copies see the fields alone.
-    Those bytes are not all from one emitter: of an even period whose halves
-    mirror each other, the second half is the first's complement.
+    An expansion `_expand` made with a period of more than `_KEPT_PERIOD`
+    digits also keeps the period's digits as the bytes `_repetend` made, in
+    ``_period_bytes``, which is not a field: rendering reads them without a
+    ``bytes()`` of the tuple, and ``repr``, ``==``, ``hash``, pickles and
+    copies see the fields alone.  Those bytes are not all from one emitter:
+    of an even period whose halves mirror each other, the second half is
+    the first's complement.
     """
 
     sign: int
@@ -841,23 +847,23 @@ def _repetend(rem: int, den: int, coprime: int, base: int, preperiod: int, max_f
     ceil(sqrt(min(bound - preperiod, coprime - 1))) baby steps, and
     `_emit_digits` makes its digits.  Past `PERIOD_STATE_BOUND` digits of
     pre-period plus period the search gives up, and the first min(max_frac,
-    bound) digits come back unresolved.  The period comes back as a bytearray.
+    bound) digits come back unresolved.  A resolved period comes back as a
+    bytearray.
 
-    An even period L past 2 * `_LONGDIV_DIGITS` digits is emitted half first
-    when base**(L/2) may be -1 mod coprime (Midy's theorem; Ginsberg, Math.
-    Magazine 2004): then remainder i + L/2 is coprime minus remainder i, so
-    digit i + L/2 is base - 1 - digit i, and the second half is one
-    ``translate`` of the first.  The rule holds exactly when the remainder
-    after the first half is coprime - u; where `_may_mirror` rules it out
-    first, the period takes one emitter call, and else a period the rule
-    misses pays a second emitter set-up for its second half.
+    An even period L past 2 * `_LONGDIV_DIGITS` digits whose coprime has at
+    most `_LANE_BITS` bits is emitted half first when one ``pow`` finds
+    base**(L/2) = -1 mod coprime (Midy's theorem; Ginsberg, Math. Magazine
+    2004): then remainder i + L/2 is coprime minus remainder i, so digit i +
+    L/2 is base - 1 - digit i, and the second half is one ``translate`` of
+    the first.  Any other period takes one emitter call, as a ``pow`` at
+    the width of a wider coprime is quadratic.
     """
     bound = PERIOD_STATE_BOUND
     shown = min(max_frac, bound)
     frac = bytearray()  # digits of base <= 256 fit a byte each
     start = _emit_digits(frac, rem, den, base, preperiod if preperiod < bound else shown)
     if preperiod >= bound:  # gives up within the pre-period, with the digits kept
-        return frac, b"", False
+        return frac, (), False
     # den's part made of base primes divides base**preperiod, hence start
     u = start // (den // coprime)
     limit = bound - preperiod
@@ -866,30 +872,21 @@ def _repetend(rem: int, den: int, coprime: int, base: int, preperiod: int, max_f
     period = _order(base, coprime, m, limit)
     if period is None:
         _emit_digits(frac, u, coprime, base, max(0, shown - preperiod))
-        return frac[:shown], b"", False
+        return frac[:shown], (), False
     if period >= 1 << 17:  # a tuple of 1 MiB or more
         _keep_heap()
     out, half = bytearray(), period >> 1
-    if half > _LONGDIV_DIGITS and not period & 1 and _may_mirror(base, half, coprime):
-        r = _emit_digits(out, u, coprime, base, half)
-        if r == coprime - u:
-            out += out.translate(bytes(range(base - 1, -1, -1)).ljust(256, b"\0"))
-        else:
-            _emit_digits(out, r, coprime, base, half)
+    if (
+        half > _LONGDIV_DIGITS
+        and not period & 1
+        and coprime.bit_length() <= _LANE_BITS
+        and pow(base, half, coprime) == coprime - 1
+    ):
+        _emit_digits(out, u, coprime, base, half)
+        out += out.translate(bytes(range(base - 1, -1, -1)).ljust(256, b"\0"))
     else:
         _emit_digits(out, u, coprime, base, period)
     return frac, out, True
-
-
-def _may_mirror(base: int, half: int, coprime: int) -> bool:
-    """Whether base**half may be -1 mod coprime: decided by one ``pow`` up
-    to `_LANE_BITS` bits.  Past them a ``pow`` is quadratic in the width,
-    so only a coprime longer than base**half + 1, which it would have to
-    divide, is ruled out."""
-    bits = coprime.bit_length()
-    if bits <= _LANE_BITS:
-        return pow(base, half, coprime) == coprime - 1
-    return bits <= half * base.bit_length() + 1
 
 
 def _keep_heap() -> None:
@@ -914,7 +911,7 @@ def _expand(x: Fraction, base: int, max_frac: int, detect_repetend: bool) -> tup
     sign = 0 if num == 0 else (1 if x.numerator > 0 else -1)
     preperiod, rest = _split_denominator(den, base)
     terminates = rest == 1
-    period = b""
+    period = ()
     r = None  # the remainder after frac, when it holds max_frac digits made here
     if terminates:
         # den | base**preperiod, so this is num / den * base**preperiod exactly
@@ -932,8 +929,8 @@ def _expand(x: Fraction, base: int, max_frac: int, detect_repetend: bool) -> tup
             r = _emit_digits(frac, rem, den, base, max_frac)
 
     info = Expansion(sign, int_digits, frac, period, base, terminates, preperiod if terminates else None, complete)
-    if period:
-        _setattr(info, "_period_bytes", period)
+    if len(period) > _KEPT_PERIOD:
+        _setattr(info, "_period_bytes", bytes(period))
     return info, r
 
 
@@ -993,8 +990,9 @@ def to_decimal(x: Fraction, max_frac: int = 64, detect_repetend: bool = True) ->
     O(sqrt(`PERIOD_STATE_BOUND`)) products, fewer for a short period.  The
     digits come 300 to a quotient, in time and memory linear in the digits
     emitted, except the second half of an even period past 400 digits whose
-    halves mirror each other (Midy's theorem): there digit i + L/2 is 9 -
-    digit i, written with no division, as `_repetend` states.  Past
+    halves mirror each other (Midy's theorem) over a rest of up to 96 bits:
+    there digit i + L/2 is 9 - digit i, written with no division, as
+    `_repetend` states.  Past
     `PERIOD_STATE_BOUND` digits of pre-period plus period the result is
     marked incomplete and truncated at min(``max_frac``, bound).
     """

@@ -267,10 +267,10 @@ class TestWideDenominator:
         assert period[-6:] == frac_stream(pow(60, -6, den), den, 60, 6)
 
     # 1/(60**k + 1) = (60**k - 1)/(60**2k - 1) repeats k digits 0 and k
-    # digits 59, halves that mirror each other, so the second half is the
-    # complement of the first; 1/((60**k - 1)/59) = 59/(60**k - 1) repeats k
-    # - 1 digits 0 and a 59, an even period whose denominator is too long
-    # for mirrored halves, so it is emitted whole
+    # digits 59, halves that mirror each other; 1/((60**k - 1)/59) =
+    # 59/(60**k - 1) repeats k - 1 digits 0 and a 59, halves that do not.
+    # Both denominators are too wide for a pow() to test the rule, so both
+    # even periods are emitted whole
     @pytest.mark.parametrize(
         "operand, period",
         [("1" + ":0" * 59_999 + ":1", ["0"] * 60_000 + ["59"] * 60_000), ("1" + ":1" * 59_999, ["0"] * 59_999 + ["59"])],

@@ -25,6 +25,7 @@ from sexagesimal.exact import (
     _DEC_BLOCK,
     _DIV_BITS,
     _LANE_BITS,
+    _KEPT_PERIOD,
     _LONGDIV_DIGITS,
     _ONE_DIGIT,
     _Record,
@@ -1508,20 +1509,21 @@ def _expand_against_longdiv(num, den, base):
     pre, period = _longdiv(x.numerator, x.denominator, base, limit=10**5)
     info = _expand(x, base, 8, True)[0]
     assert info.complete and (info.frac_digits, info.period) == (tuple(pre), tuple(period)), (x, base)
-    assert vars(info)["_period_bytes"] == bytes(period)
+    kept = vars(info).get("_period_bytes")
+    assert kept == (bytes(period) if len(period) > _KEPT_PERIOD else None)
     return period
 
 
 class TestComplementRoute:
     # an even period L past 2 * _LONGDIV_DIGITS digits is emitted half first
-    # where base**(L/2) may be -1 modulo the denominator's base-coprime part
-    # t; if so its second half is the first's complement, base - 1 - d
-    # (Midy's theorem), else it is emitted too.  Each period must agree
-    # with long division whether the rule holds or not, narrow (a pow()
-    # decides the rule up front up to _LANE_BITS bits) or wide (the
-    # remainder after the first half decides), after a pre-period and under
-    # numerators other than 1.  Only bases 10 and 60 take a pre-period past
-    # _DC_BITS bits, so in the others a wide den has none.
+    # where base**(L/2) is -1 modulo the denominator's base-coprime part t,
+    # found by one pow() when t has at most _LANE_BITS bits; its second half
+    # is the first's complement, base - 1 - d (Midy's theorem).  Every other
+    # period, a wide t's too, is emitted whole.  Each period must agree with
+    # long division whether the rule holds or not, narrow or wide, after a
+    # pre-period and under numerators other than 1.  Only bases 10 and 60
+    # take a pre-period past _DC_BITS bits, so in the others a wide den has
+    # none.
     @pytest.mark.parametrize("base", [2, 7, 10, 60, 256])
     def test_against_long_division(self, base):
         cofactor = min(_prime_factors(base)) ** 3
@@ -1562,8 +1564,9 @@ class TestComplementRoute:
     # base**k + 1 has the period 2k with mirrored halves, and 7 * (base**k +
     # 1) where base**k is -1 modulo 7 too (not in base 60 at k = 201, where
     # 60 has order 3 modulo 7); the repunit (base**L - 1) / (base - 1) has
-    # the period L and is longer than base**(L/2) + 1, so it is emitted
-    # whole.  In base 2 these stay below _DC_BITS bits.
+    # the period L and halves that do not mirror.  All are wider than
+    # _LANE_BITS, so emitted whole.  In base 2 they stay below _DC_BITS
+    # bits.
     @pytest.mark.parametrize("base", [2, 10, 60])
     @pytest.mark.parametrize("k", [_LONGDIV_DIGITS, _LONGDIV_DIGITS + 1, 250])
     def test_known_families(self, base, k):
@@ -1591,10 +1594,9 @@ class TestComplementRoute:
             assert not info.complete and info.period == ()
             assert info.frac_digits == tuple(frac_stream(1, den, base, total - 1))
 
-    # the emitter is asked for the first half of a mirrored period alone;
-    # where the rule fails, for the whole period: in one call up to
-    # _LANE_BITS bits and where the den is past base**(L/2) + 1, in two
-    # halves otherwise
+    # the emitter is asked for the first half of a mirrored period alone
+    # when the den has at most _LANE_BITS bits; for the whole period, in one
+    # call, where the rule fails or the den is wider
     @pytest.mark.parametrize("base", [10, 60])
     def test_digits_asked_of_the_emitter(self, base, monkeypatch):
         asked = []
@@ -1614,8 +1616,8 @@ class TestComplementRoute:
         for den, calls in (
             (cases["narrow-holds"], [0, _H]),
             (cases["narrow-fails"], [0, 2 * _H]),
-            (cases["wide-holds"], [0, _H]),
-            (cases["wide-fails"], [0, _H, _H]),
+            (cases["wide-holds"], [0, 2 * _H]),
+            (cases["wide-fails"], [0, 2 * _H]),
             (repunit, [0, 2 * _H]),
         ):
             asked.clear()
@@ -1661,13 +1663,20 @@ class TestRendering:
         assert info.preperiod_text == _naive_text(shown)
 
     # an expansion keeps the bytes its period was made in, outside its
-    # fields: it equals, hashes, prints, pickles and copies as the record
-    # the constructor builds from its fields, which keeps no bytes
-    @pytest.mark.parametrize("base, den", [(10, 7), (60, 7), (10, 999_983), (60, 60**250 + 1)])
+    # fields, once the period passes _KEPT_PERIOD digits: it equals,
+    # hashes, prints, pickles and copies as the record the constructor
+    # builds from its fields, which keeps no bytes.  The bytes are
+    # immutable, so no one can change the text without the fields.
+    @pytest.mark.parametrize("base, den", [(10, 7), (60, 60**250 + 1), (10, 999_983), (60, 60**2100 + 1)])
     def test_kept_period_bytes_are_no_field(self, base, den):
         info = _expand(Fraction(-3, den), base, 8, True)[0]
         built = exact.Expansion(*info._values())
-        assert vars(info)["_period_bytes"] == bytes(info.period) and "_period_bytes" not in vars(built)
+        kept = vars(info).get("_period_bytes")
+        if len(info.period) > _KEPT_PERIOD:
+            assert type(kept) is bytes and kept == bytes(info.period)
+        else:
+            assert kept is None
+        assert "_period_bytes" not in vars(built)
         assert info == built and hash(info) == hash(built) and repr(info) == repr(built)
         assert str(info) == str(built) and info.period_text == built.period_text
         assert pickle.dumps(info) == pickle.dumps(built) and pickle.loads(pickle.dumps(info)) == built
