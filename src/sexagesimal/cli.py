@@ -53,11 +53,10 @@ def _render_value(x: Rational, notation: str, precision: int, mode: str) -> str:
         return str(to_decimal(x, max_frac=precision, detect_repetend=True))
     number, info = to_sexagesimal(x, precision, mode, detect_repetend=True)
     # a found period is shown whole, in parentheses; else the rounded number
-    shown = info if info.period else number
+    period = info._period_digits
+    shown = info if period else number
     style = {"symbols": DEFAULT_TABLE._alphabet} if notation == "glyph" else {}
-    return _render(
-        shown.sign, shown.int_digits, shown.frac_digits, info._period_digits, info.terminates_within(precision), **style
-    )
+    return _render(shown.sign, shown.int_digits, shown.frac_digits, period, info.terminates_within(precision), **style)
 
 
 def _int(text: str, kind: str = "int") -> int:

@@ -10,6 +10,7 @@ Canonical base-60 text writes sexagesits as decimal numbers separated by
 """
 
 import codecs
+import functools
 import math
 import re
 import sys
@@ -68,11 +69,18 @@ _DEC_BLOCK = 300
 _ASCII_TO_DIGIT = bytes.maketrans(_ASCII_DIGITS.encode(), bytes(range(10)))
 _LANE_BITS, _LONGDIV_DIGITS, _ONE_DIGIT = 96, 200, 1 << sys.int_info.bits_per_digit
 
-# `_expand` keeps the bytes of a longer period for rendering: keeping them
-# costs about 0.4 us a call, under 0.5% of expanding 4096 digits, while a
-# ``bytes()`` of the period's tuple costs about 6.5 ns a digit (CPython
-# 3.11.7, x86-64)
+# `_expand` keeps the bytes of a longer period, for rendering, and builds
+# the period's tuple only when it is read: keeping them costs about 0.4 us
+# a call, under 0.5% of expanding 4096 digits, while a ``tuple()`` of the
+# bytes costs about 5 ns a digit and a ``bytes()`` of the tuple about 6.5 ns
+# (CPython 3.11.7, x86-64)
 _KEPT_PERIOD = 1 << 12
+
+# drops the f marks from `_BCD`'s hex text: past `_KEPT_PERIOD` digits
+# ``str.translate``'s ASCII fast path beats ``str.replace``, which wins on
+# short text, where the translate's set-up costs more (crossover at 700 to
+# 1000 digits on CPython 3.11-3.13; 4.7 against 8.0 ms at 10**6 digits)
+_NO_MARK = {ord("f"): None}
 
 # `_int_of_digits` folds more digits than this as packed byte fields, in
 # leaves of `_FOLD_LEAF` digits; fewer take Horner's rule, which is faster
@@ -343,7 +351,8 @@ def _spell(digits, symbols) -> str:
     if symbols is None:
         # each sexagesit as one packed-BCD byte, hex-printed with ":" between
         # bytes; below 10 the tens nibble is f, a mark that is then dropped
-        return bytes(digits).translate(_BCD).hex(":").replace("f", "")
+        text = bytes(digits).translate(_BCD).hex(":")
+        return text.translate(_NO_MARK) if len(digits) > _KEPT_PERIOD else text.replace("f", "")
     # charmap reads a U+FFFE glyph as its mark for "unmapped"
     if not symbols.isascii() and "\ufffe" not in symbols:
         return codecs.charmap_decode(bytes(digits), "strict", symbols)[0]
@@ -361,8 +370,9 @@ def _render(sign, int_digits, frac_digits=(), period=(), complete=True, symbols=
     if frac_digits or period:
         text += point + _spell(frac_digits, symbols)
     if period:
-        text += "(" + _spell(period, symbols) + ")"
-    elif not complete:
+        # one f-string, so that a long period's text is copied once
+        return f"{'-' if sign < 0 else ''}{text}({_spell(period, symbols)})"
+    if not complete:
         text += "..."
     return "-" + text if sign < 0 else text
 
@@ -608,6 +618,22 @@ def _coprime_fraction(num: int, den: int) -> Fraction:
     return x
 
 
+class _PeriodOnRead:
+    """`Expansion.period` of an expansion that keeps its period's bytes and
+    has no tuple yet: the tuple is built from the bytes, stored as the
+    field and returned.  A non-data descriptor, so an expansion that has the
+    field reads it from its dict and never comes here.  On the class, or on
+    an expansion with neither, the attribute is missing, so the field has
+    no default for `_field_init`."""
+
+    def __get__(self, info, owner=None):
+        if info is None or not info._period_bytes:
+            raise AttributeError("period")
+        period = tuple(info._period_bytes)
+        _setattr(info, "period", period)
+        return period
+
+
 class Expansion(_Record):
     """The exact positional expansion of a rational in some base.
 
@@ -619,18 +645,20 @@ class Expansion(_Record):
     characterize the value.
 
     An expansion `_expand` made with a period of more than `_KEPT_PERIOD`
-    digits also keeps the period's digits as the bytes `_repetend` made, in
-    ``_period_bytes``, which is not a field: rendering reads them without a
-    ``bytes()`` of the tuple, and ``repr``, ``==``, ``hash``, pickles and
-    copies see the fields alone.  Those bytes are not all from one emitter:
-    of an even period whose halves mirror each other, the second half is
-    the first's complement.
+    digits keeps the period's digits as the bytes `_repetend` made, in
+    ``_period_bytes``, which is not a field, and builds the ``period``
+    tuple from them on its first read (8 bytes a digit, against their 1):
+    printing reads the bytes and never builds it, and ``repr``, ``==``,
+    ``hash``, pickles and copies read the field, so they see the fields
+    alone.  Those bytes are not all from one emitter: of an even period
+    whose halves mirror each other, the second half is the first's
+    complement.
     """
 
     sign: int
     int_digits: tuple[int, ...]
     frac_digits: tuple[int, ...]
-    period: tuple[int, ...]
+    period: tuple[int, ...] = _PeriodOnRead()
     base: int
     terminates: bool
     frac_len: int | None
@@ -873,7 +901,7 @@ def _repetend(rem: int, den: int, coprime: int, base: int, preperiod: int, max_f
     if period is None:
         _emit_digits(frac, u, coprime, base, max(0, shown - preperiod))
         return frac[:shown], (), False
-    if period >= 1 << 17:  # a tuple of 1 MiB or more
+    if period >= 1 << 17:  # a tuple of 1 MiB or more, once read
         _keep_heap()
     out, half = bytearray(), period >> 1
     if (
@@ -896,13 +924,26 @@ def _keep_heap() -> None:
     raises the threshold to each one it frees: a tuple came from the heap or
     a new mapping by the sizes freed before, and peak RSS varied by 8 MB.
     Heap growth stays unbounded in general: a block longer than every free
-    hole still extends the heap when a live allocation sits above it."""
+    hole still extends the heap when a live allocation sits above it.
+
+    The thresholds hold for the whole process, so `_tune_malloc` sets them
+    once per loader of the C library, ``ctypes.CDLL``: a later call costs
+    an import lookup and a cache hit, 0.2 us, not a ``dlopen`` and two
+    foreign calls, 12 us (CPython 3.11.7, x86-64)."""
     try:
         import ctypes
-        libc = ctypes.CDLL(None)
+    except ImportError:
+        return
+    _tune_malloc(ctypes.CDLL)
+
+
+@functools.cache
+def _tune_malloc(cdll) -> None:
+    try:
+        libc = cdll(None)
         libc.mallopt(-3, 16 << 20)  # M_MMAP_THRESHOLD
         libc.mallopt(-1, 32 << 20)  # M_TRIM_THRESHOLD: free heap below this stays for the next
-    except (ImportError, AttributeError, OSError, TypeError):  # no ctypes, or no mallopt
+    except (AttributeError, OSError, TypeError):  # no C library, or no mallopt
         pass
 
 
@@ -928,8 +969,13 @@ def _expand(x: Fraction, base: int, max_frac: int, detect_repetend: bool) -> tup
             frac, complete = [], False
             r = _emit_digits(frac, rem, den, base, max_frac)
 
-    info = Expansion(sign, int_digits, frac, period, base, terminates, preperiod if terminates else None, complete)
-    if len(period) > _KEPT_PERIOD:
+    kept = len(period) > _KEPT_PERIOD
+    info = Expansion(
+        sign, int_digits, frac, () if kept else period, base, terminates, preperiod if terminates else None, complete
+    )
+    if kept:
+        # the field is built from the bytes on its first read
+        object.__delattr__(info, "period")
         _setattr(info, "_period_bytes", bytes(period))
     return info, r
 
@@ -957,8 +1003,9 @@ def to_sexagesimal(
     # after them, which `_expand` returns when it made the digits itself
     num, den = abs(x.numerator), x.denominator
     frac = bytearray(info.frac_digits[:max_frac])
-    if info.period:
-        frac += bytes(info.period[:max_frac]) * -((len(frac) - max_frac) // len(info.period))
+    period = info._period_digits
+    if period:
+        frac += bytes(period[:max_frac]) * -((len(frac) - max_frac) // len(period))
         del frac[max_frac:]
     if r is None:
         r = _emit_digits(frac, num * pow(BASE, len(frac), den) % den, den, BASE, max_frac - len(frac))

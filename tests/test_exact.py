@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import frac_stream, nonzero_rationals, rationals, run_python, sex_numbers
-from sexagesimal import exact
+from sexagesimal import cli, exact
 from sexagesimal.errors import quote
 from sexagesimal.exact import (
     ROUNDING_MODES,
@@ -1437,6 +1437,23 @@ class TestRepetendRoutes:
         assert len(to_decimal(Fraction(1, den)).period) == den - 1
         assert calls == ([(-3, 16 << 20), (-1, 32 << 20)] if fixed else [])
 
+    # the thresholds hold for the whole process: a second long expansion,
+    # in either base, loads no C library and calls no mallopt
+    def test_heap_thresholds_are_set_once(self, monkeypatch):
+        ctypes = pytest.importorskip("ctypes")
+        loads, calls = [], []
+
+        class Libc:
+            def __init__(self, name):
+                loads.append(name)
+
+            def mallopt(self, param, value):
+                calls.append((param, value))
+        monkeypatch.setattr(ctypes, "CDLL", Libc)
+        for x in (Fraction(1, 131_149), Fraction(2, 131_149), Fraction(1, 999_983)):
+            assert to_decimal(x).complete and to_sexagesimal(x, 8, detect_repetend=True)[1].complete
+        assert loads == [None] and calls == [(-3, 16 << 20), (-1, 32 << 20)]
+
     def test_heap_thresholds_without_a_c_library(self, monkeypatch):
         ctypes = pytest.importorskip("ctypes")
 
@@ -1706,3 +1723,150 @@ class TestRendering:
         render, expansion = _best_of(lambda: str(info), expand)
         assert render <= expansion
         assert str(info) == _naive_text(info)
+
+
+def _joined(digits):
+    # canonical text as earlier versions wrote it: str(d) per sexagesit
+    return ":".join(map(str, digits))
+
+
+def _spell_cases():
+    """Digit sequences named by what they hold and how long they are: every
+    sexagesit in turn, one-character numerals (below 10) alone, two-character
+    ones alone, and random digits, each empty, short, and one either side
+    of `_KEPT_PERIOD` and at it."""
+    rng = random.Random(25)
+    kinds = {
+        "every": lambda i: i % 60,
+        "short": lambda i: rng.randrange(10),
+        "long": lambda i: rng.randrange(10, 60),
+        "random": lambda i: rng.randrange(60),
+    }
+    lengths = [0, 1, 9, 60, _KEPT_PERIOD - 1, _KEPT_PERIOD, _KEPT_PERIOD + 1]
+    return {f"{kind}-{n}": [digit(i) for i in range(n)] for kind, digit in kinds.items() for n in lengths}
+
+
+_SPELL_CASES = _spell_cases()
+
+
+class TestSpellRoutes:
+    # canonical text drops _BCD's f marks by str.replace up to _KEPT_PERIOD
+    # digits and by str.translate past it.  Each route, forced by moving the
+    # cutoff below or above every length, and the cutoff as it is must
+    # spell what a per-digit join spells, from the bytes a kept period is
+    # and from the tuples the fields are.
+    @pytest.mark.parametrize("cutoff", [-1, None, 10**9], ids=["translate", "as-is", "replace"])
+    @pytest.mark.parametrize("name", sorted(_SPELL_CASES))
+    def test_routes_against_a_joined_numeral_per_digit(self, cutoff, name, monkeypatch):
+        if cutoff is not None:
+            monkeypatch.setattr(exact, "_KEPT_PERIOD", cutoff)
+        digits = _SPELL_CASES[name]
+        for given in (bytes(digits), tuple(digits)):
+            assert exact._spell(given, None) == _joined(digits), name
+
+    @given(st.lists(st.integers(0, 59), max_size=200), st.sampled_from([-1, 10**9]))
+    def test_short_sequences_on_either_route(self, digits, cutoff):
+        old = exact._KEPT_PERIOD
+        exact._KEPT_PERIOD = cutoff
+        try:
+            assert exact._spell(digits, None) == _joined(digits)
+        finally:
+            exact._KEPT_PERIOD = old
+
+
+def _matched_period(info):
+    match info:
+        case exact.Expansion(period=period):
+            return period
+
+
+# the views of a record that read its fields: each must agree with the
+# record the constructor builds, whether the period has been read or not
+_VIEWS = {
+    "eq": lambda info: info,
+    "hash": hash,
+    "repr": repr,
+    "pickle": pickle.dumps,
+    "unpickled": lambda info: pickle.loads(pickle.dumps(info)),
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "match": _matched_period,
+}
+
+
+class TestPeriodOnRead:
+    # an expansion that keeps the bytes of a period past _KEPT_PERIOD digits
+    # builds the period's tuple only when the field is first read, and
+    # keeps it; every view of the record sees the field as the constructor
+    # stores it.  The twin is built by the constructor from the kept bytes,
+    # so it does not go through the expansion's own reading of the field.
+    X = Fraction(-3, 999_983)
+
+    def _pair(self, base):
+        info = _expand(self.X, base, 8, True)[0]
+        twin = _expand(self.X, base, 8, True)[0]
+        assert "period" not in vars(info) and "period" not in vars(twin)
+        fields = {name: getattr(twin, name) for name in exact.Expansion._fields if name != "period"}
+        return info, exact.Expansion(**fields, period=twin._period_bytes)
+
+    @pytest.mark.parametrize("base", [10, 60])
+    def test_tuple_is_built_once_on_first_read(self, base):
+        info, built = self._pair(base)
+        assert str(info) == str(built) and info.period_text == built.period_text
+        assert "period" not in vars(info)
+        period = info.period
+        assert type(period) is tuple and len(period) == 999_982 and period == built.period
+        assert vars(info)["period"] is period and info.period is period
+
+    @pytest.mark.parametrize("base", [10, 60])
+    @pytest.mark.parametrize("read_first", [False, True])
+    @pytest.mark.parametrize("view", sorted(_VIEWS))
+    def test_views_match_the_constructor(self, base, read_first, view):
+        info, built = self._pair(base)
+        if read_first:
+            info.period
+        assert ("period" in vars(info)) == read_first
+        assert _VIEWS[view](info) == _VIEWS[view](built)
+
+    def test_field_has_no_default(self):
+        assert not hasattr(exact.Expansion, "period")
+        with pytest.raises(TypeError, match="period"):
+            exact.Expansion(1, (0,), ())
+
+    # printing reads the kept bytes: the command line prints 1/999983 in
+    # every notation without building the tuple
+    def test_cli_builds_no_tuple(self, monkeypatch, capsys):
+        built = []
+        read = exact._PeriodOnRead.__get__
+
+        def spy(self, info, owner=None):
+            built.append(info)
+            return read(self, info, owner)
+        monkeypatch.setattr(exact._PeriodOnRead, "__get__", spy)
+        assert len(_expand(self.X, 60, 8, True)[0].period) == 999_982 and len(built) == 1
+        built.clear()
+        heads = {
+            "canonical": "0;(" + _joined(frac_stream(1, 999_983, 60, 8)) + ":",
+            "decimal": "0.(" + "".join(map(str, frac_stream(1, 999_983, 10, 20))),
+            "glyph": "",
+        }
+        for notation, head in heads.items():
+            assert cli.main(["arith", "--to", notation, "div", "1", "999983"]) == 0
+            out, err = capsys.readouterr()
+            assert err == "" and out.startswith(head) and out.endswith(")\n"), notation
+        assert built == []
+
+    # the tuple alone would take 8 bytes a digit, 8 MB; the expansion's peak
+    # is the emitter's bytearray and the kept bytes, 1 MB each (1.91 MiB on
+    # CPython 3.10-3.13, against 9.54 MiB when the tuple was built)
+    def test_expansion_peak_memory_holds_no_tuple(self):
+        x = Fraction(1, 999_983)
+        to_decimal(x)
+        tracemalloc.start()
+        try:
+            info = to_decimal(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 << 20
+        assert len(info.period) == 999_982
