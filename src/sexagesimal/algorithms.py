@@ -162,7 +162,8 @@ def heron_sqrt(
     else:
         residual = _coprime_fraction(*_lowest_terms(abs(aqq - bpp), den, common))
     number = _round_to(_coprime_fraction(*_lowest_terms(bpp + aqq, den, common)), precision)
-    int_width = 0 if number.int_digits == (0,) else len(number.int_digits)
+    int_digits = number._parts[0]
+    int_width = 0 if int_digits == b"\0" else len(int_digits)
     value = SexFloat.from_sex_number(number, precision=int_width + precision)
     return HeronResult(value=value, iterations=iterations, residual=residual)
 
@@ -330,9 +331,9 @@ def reconstruct_table(ratio: str = RATIO_DIAGONAL) -> list[RowDiff]:
         if ratio == RATIO_SHORT:
             # the published column keeps the ambiguous leading 1; the (a/b)^2
             # reading drops it and keeps the fractional tail
-            mismatches = _diff_digits(published.digits[1:], row.ratio_digits.frac_digits, DigitMismatch)
+            mismatches = _diff_digits(published._digits[1:], row.ratio_digits._parts[1], DigitMismatch)
         else:
-            mismatches = _diff_digits(published.digits, row.ratio_digits.digits, DigitMismatch)
+            mismatches = _diff_digits(published._digits, row.ratio_digits._digits, DigitMismatch)
         diffs.append(
             RowDiff(record.index, row=row, published=published, mismatches=mismatches, error=None)
         )

@@ -53,10 +53,10 @@ def _render_value(x: Rational, notation: str, precision: int, mode: str) -> str:
         return str(to_decimal(x, max_frac=precision, detect_repetend=True))
     number, info = to_sexagesimal(x, precision, mode, detect_repetend=True)
     # a found period is shown whole, in parentheses; else the rounded number
-    period = info._period_digits
-    shown = info if period else number
     style = {"symbols": DEFAULT_TABLE._alphabet} if notation == "glyph" else {}
-    return _render(shown.sign, shown.int_digits, shown.frac_digits, period, info.terminates_within(precision), **style)
+    if info._period:
+        return _render(info.sign, info._int_digits, info._frac_digits, info._period, **style)
+    return _render(number.sign, *number._parts, complete=info.terminates_within(precision), **style)
 
 
 def _int(text: str, kind: str = "int") -> int:

@@ -119,7 +119,7 @@ def encode_scientific(
         raise DomainError("scientific encoding requires a positive value")
     f = normalize_float(x, precision, mode)
     # the leading sexagesit is nonzero, so some digit remains
-    digits = bytes(f.mantissa).rstrip(b"\0")
+    digits = f._mantissa.rstrip(b"\0")
     exponent = f.exponent - len(digits)
     glyphs = _render(1, digits, symbols=table._alphabet)
     if exponent == 0:
@@ -152,7 +152,7 @@ def verify_constant(
             return EntryStatus(entry, UNDECODABLE)
         precision = len(published)
     f = normalize_float(entry.reference_value, precision, TRUNC)
-    derived = f.mantissa
+    derived = f._mantissa
     derived_scale = f.exponent - precision
     diffs = _diff_digits(published, derived, DigitDiff)
     kind = MATCH if not diffs and published_scale == derived_scale else MISMATCH

@@ -69,18 +69,12 @@ _DEC_BLOCK = 300
 _ASCII_TO_DIGIT = bytes.maketrans(_ASCII_DIGITS.encode(), bytes(range(10)))
 _LANE_BITS, _LONGDIV_DIGITS, _ONE_DIGIT = 96, 200, 1 << sys.int_info.bits_per_digit
 
-# `_expand` keeps the bytes of a longer period, for rendering, and builds
-# the period's tuple only when it is read: keeping them costs about 0.4 us
-# a call, under 0.5% of expanding 4096 digits, while a ``tuple()`` of the
-# bytes costs about 5 ns a digit and a ``bytes()`` of the tuple about 6.5 ns
-# (CPython 3.11.7, x86-64)
-_KEPT_PERIOD = 1 << 12
-
-# drops the f marks from `_BCD`'s hex text: past `_KEPT_PERIOD` digits
+# drops the f marks from `_BCD`'s hex text: past `_TRANSLATE_DIGITS` digits
 # ``str.translate``'s ASCII fast path beats ``str.replace``, which wins on
 # short text, where the translate's set-up costs more (crossover at 700 to
 # 1000 digits on CPython 3.11-3.13; 4.7 against 8.0 ms at 10**6 digits)
 _NO_MARK = {ord("f"): None}
+_TRANSLATE_DIGITS = 1 << 12
 
 # `_int_of_digits` folds more digits than this as packed byte fields, in
 # leaves of `_FOLD_LEAF` digits; fewer take Horner's rule, which is faster
@@ -243,13 +237,14 @@ def _div3n2n(a12: int, a3: int, b: int, b1: int, b2: int, n: int) -> tuple[int, 
     return q, r
 
 
-def _digits_of_int(n: int, base: int = BASE, width: int = 1) -> list[int]:
-    """Digits of ``n >= 0`` in ``base`` <= 256, most significant first,
-    left-padded with zeros to ``width`` digits when shorter (zero has no
-    digits of its own, so it comes back as ``width`` zeros).
+def _digits_of_int(n: int, base: int = BASE, width: int = 1) -> bytes:
+    """Digits of ``n >= 0`` in ``base`` <= 256, a byte each, most
+    significant first, left-padded with zeros to ``width`` digits when
+    shorter (zero has no digits of its own, so it comes back as ``width``
+    zeros).
 
-    Up to `_DC_BITS` bits, one divmod per digit.  Past that, n is split one
-    level at a time, most significant first, down the power tower
+    Up to `_DC_BITS` bits, one remainder and one quotient per digit.  Past
+    that, n is split one level at a time, most significant first, down the power tower
     base**(`_FOLD_LEAF` * 2**k) from its first power whose square is sure to
     exceed n, by bit lengths: each level halves every leaf on the next power
     by `_divmod`, whose recursive division keeps the split subquadratic on
@@ -261,13 +256,12 @@ def _digits_of_int(n: int, base: int = BASE, width: int = 1) -> list[int]:
     quotient from a fixed reciprocal of P (Granlund & Montgomery, PLDI
     1994), in two fields of half the width."""
     if n.bit_length() <= _DC_BITS:
-        out = []
+        out = bytearray()
         while n:
-            n, d = divmod(n, base)
-            out.append(d)
-        out.extend([0] * (width - len(out)))
+            out.append(n % base)
+            n //= base
         out.reverse()
-        return out
+        return bytes(out).rjust(width, b"\0")
     powers = [base**_FOLD_LEAF]  # powers[k] = base**(_FOLD_LEAF * 2**k)
     # a square has at least 2b - 1 bits for a power of b bits
     while 2 * powers[-1].bit_length() - 1 <= n.bit_length():
@@ -296,7 +290,7 @@ def _digits_of_int(n: int, base: int = BASE, width: int = 1) -> list[int]:
         x = x - q * p | q << 8 * w  # the remainder in the low half, the quotient in the high
         m //= 2
     digits = x.to_bytes(nbytes, "big")[w - 1 :: w]  # a digit in the low byte of each field
-    return list(digits.lstrip(b"\0").rjust(width, b"\0"))
+    return digits.lstrip(b"\0").rjust(width, b"\0")
 
 
 def _int_of_digits(digits, base: int = BASE) -> int:
@@ -352,29 +346,29 @@ def _spell(digits, symbols) -> str:
         # each sexagesit as one packed-BCD byte, hex-printed with ":" between
         # bytes; below 10 the tens nibble is f, a mark that is then dropped
         text = bytes(digits).translate(_BCD).hex(":")
-        return text.translate(_NO_MARK) if len(digits) > _KEPT_PERIOD else text.replace("f", "")
+        return text.translate(_NO_MARK) if len(digits) > _TRANSLATE_DIGITS else text.replace("f", "")
     # charmap reads a U+FFFE glyph as its mark for "unmapped"
     if not symbols.isascii() and "\ufffe" not in symbols:
         return codecs.charmap_decode(bytes(digits), "strict", symbols)[0]
     return bytes(digits).decode("latin-1").translate(symbols)
 
 
-def _render(sign, int_digits, frac_digits=(), period=(), complete=True, symbols=None, point=";") -> str:
+def _render(sign, int_digits, frac_digits=b"", period=b"", complete=True, symbols=None, point=";") -> str:
     """Positional text in any notation: ``-`` for a negative sign, the
     integer digits, ``point`` and the fractional digits when there are any
     or a period, the period in parentheses, else ``...`` when incomplete.
     A digit d is written symbols[d] with nothing between digits (a glyph
     table's ``_alphabet`` for glyphs, `_ASCII_DIGITS` for decimal digits), or
-    without ``symbols`` as a canonical ``:``-separated sexagesit."""
+    without ``symbols`` as a canonical ``:``-separated sexagesit.  Each
+    part's text is copied once, into the result."""
     text = _spell(int_digits, symbols)
-    if frac_digits or period:
-        text += point + _spell(frac_digits, symbols)
+    sign = "-" if sign < 0 else ""
     if period:
-        # one f-string, so that a long period's text is copied once
-        return f"{'-' if sign < 0 else ''}{text}({_spell(period, symbols)})"
-    if not complete:
-        text += "..."
-    return "-" + text if sign < 0 else text
+        return f"{sign}{text}{point}{_spell(frac_digits, symbols)}({_spell(period, symbols)})"
+    tail = "" if complete else "..."
+    if frac_digits:
+        return f"{sign}{text}{point}{_spell(frac_digits, symbols)}{tail}"
+    return sign + text + tail
 
 
 def _diff_digits(published, derived, record) -> tuple:
@@ -391,6 +385,39 @@ def _diff_digits(published, derived, record) -> tuple:
 _setattr = object.__setattr__
 _new = object.__new__
 
+# the annotation of a digit field, such as `SexNumber.digits`
+_DIGITS = tuple[int, ...]
+
+
+class _DigitField:
+    """A record's digit field, one annotated `_DIGITS`.  The record keeps
+    the digits as bytes (one a digit, against a tuple's 8), under the
+    field's name with a leading ``_``, where the package's code reads them.
+    The field's first read builds their tuple and stores it in the record;
+    a non-data descriptor, this is not called again for that record.  On
+    the class the attribute is missing, so the field has no default."""
+
+    def __init__(self, name: str):
+        self.name, self.key = name, "_" + name
+
+    def __get__(self, record, owner=None):
+        if record is None:
+            raise AttributeError(self.name)
+        digits = tuple(getattr(record, self.key))
+        _setattr(record, self.name, digits)
+        return digits
+
+
+def _digit_bytes(digits):
+    """What a digit field keeps of ``digits``, which are no `bytes`: their
+    bytes, or their tuple when one is no int in 0..255, for the record's
+    ``_check`` to refuse."""
+    digits = tuple(digits)
+    try:
+        return bytes(digits)
+    except (TypeError, ValueError):
+        return digits
+
 
 class _Record:
     """Immutable value behaviour over the fields a subclass annotates, in
@@ -402,10 +429,12 @@ class _Record:
     its own ``__match_args__``.  A subclass of a record keeps its parent's
     fields, followed by any it annotates itself; if it annotates some and
     defines no ``__init__``, `_field_init` writes one, which stores a field
-    annotated ``tuple[...]`` as a tuple of any iterable it is given.  A
-    record whose fields obey rules states them in a ``_check`` method,
-    which reads the fields set and raises on a bad one; the written
-    ``__init__`` calls it last, and `_build` does not."""
+    annotated ``tuple[...]`` as a tuple of any iterable it is given, except
+    a digit field (see `_DigitField`), which it keeps as bytes.  A record
+    whose fields obey rules states them in a ``_check`` method, which reads
+    the fields set and raises on a bad one; the written ``__init__`` calls
+    it last, and `_build` does not.  A record with digit fields pickles
+    and copies its fields by name, digit fields as tuples."""
 
     def __init_subclass__(cls):
         super().__init_subclass__()
@@ -414,8 +443,15 @@ class _Record:
         # assignment, ``cls._fields`` is the parent record's
         cls._fields = {**getattr(cls, "_fields", {}), **own}
         cls.__match_args__ = vars(cls).get("__match_args__", tuple(cls._fields))
+        # the key of each field's value in a record, in order, and of each
+        # digit field's bytes by its name
+        cls._digit_keys = {name: "_" + name for name, hint in cls._fields.items() if hint == _DIGITS}
+        cls._keys = tuple(cls._digit_keys.get(name, name) for name in cls._fields)
         if own and "__init__" not in vars(cls):
             cls.__init__ = _field_init(cls)
+        for name in own:
+            if name in cls._digit_keys:
+                setattr(cls, name, _DigitField(name))
 
     @classmethod
     def _build(cls, first, second, third):
@@ -425,10 +461,10 @@ class _Record:
         builds a `Fraction`.  Three named arguments, not a loop over
         ``*values``, keep it as fast as setting each field by its name."""
         x = _new(cls)
-        name1, name2, name3 = cls._fields
-        _setattr(x, name1, first)
-        _setattr(x, name2, second)
-        _setattr(x, name3, third)
+        key1, key2, key3 = cls._keys
+        _setattr(x, key1, first)
+        _setattr(x, key2, second)
+        _setattr(x, key3, third)
         return x
 
     def _values(self) -> tuple:
@@ -450,19 +486,37 @@ class _Record:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
+    def __getstate__(self) -> dict:
+        # by name, digit fields as tuples: the same whether a field has been
+        # read or not, and the state of records that kept no bytes, which
+        # pickles written before they did hold
+        if not self._digit_keys:
+            return vars(self)
+        return {name: getattr(self, name) for name in self._fields}
+
+    def __setstate__(self, state: dict) -> None:
+        keys = self._digit_keys
+        for name, value in state.items():
+            if name in keys:
+                _setattr(self, keys[name], _digit_bytes(value))
+            else:
+                _setattr(self, name, value)
+
 
 def _field_init(cls):
     """``__init__(self, f1, ..., fn)`` over ``cls._fields``, compiled once:
-    one `_setattr` per field, in order, of the value `_stored` names, then
-    ``self._check()`` if the class has one.  A field's value in the class
-    body is its default."""
+    one `_setattr` per field, in order, of the value `_stored` names under
+    its key, then ``self._check()`` if the class has one.  A field's value in
+    the class body is its default."""
     names = cls._fields
     defaults = {name: getattr(cls, name) for name in names if hasattr(cls, name)}
     params = ", ".join(f"{name}=_defaults[{name!r}]" if name in defaults else name for name in names)
-    body = "".join(f"\n    _setattr(self, {name!r}, {_stored(name, hint)})" for name, hint in names.items())
+    body = "".join(
+        f"\n    _setattr(self, {key!r}, {_stored(name, hint)})" for key, (name, hint) in zip(cls._keys, names.items())
+    )
     if hasattr(cls, "_check"):
         body += "\n    self._check()"
-    namespace = {"_setattr": _setattr, "_defaults": defaults, "__name__": cls.__module__}
+    namespace = {"_setattr": _setattr, "_digit_bytes": _digit_bytes, "_defaults": defaults, "__name__": cls.__module__}
     exec(f"def __init__(self, {params}):{body}", namespace)
     init = namespace["__init__"]
     init.__qualname__ = f"{cls.__qualname__}.__init__"
@@ -471,8 +525,12 @@ def _field_init(cls):
 
 def _stored(name: str, hint) -> str:
     """The expression a written ``__init__`` stores argument ``name`` as:
-    ``tuple(name)`` for a field annotated ``tuple[...]``, the same with None
-    kept as None for ``tuple[...] | None``, and else the argument itself."""
+    `_digit_bytes` of it for a digit field, with no call for bytes (the
+    builders' argument), ``tuple(name)`` for another field annotated
+    ``tuple[...]``, the same with None kept as None for ``tuple[...] |
+    None``, and else the argument itself."""
+    if hint == _DIGITS:
+        return f"{name} if {name}.__class__ is bytes else _digit_bytes({name})"
     if getattr(hint, "__origin__", None) is tuple:
         return f"tuple({name})"
     args = getattr(hint, "__args__", ())
@@ -514,12 +572,12 @@ class SexNumber(_Record):
     frac_count: int
 
     def _check(self):
-        sign, digits, frac_count = self.sign, self.digits, self.frac_count
+        sign, digits, frac_count = self.sign, self._digits, self.frac_count
         _check_signed_digits(sign, digits, "digit sequence")
         if not 0 <= frac_count <= len(digits):
             raise ValueError("frac_count out of range")
         if sign == 0:
-            if digits != (0,) or frac_count != 0:
+            if digits != b"\0" or frac_count != 0:
                 raise ValueError("zero must be digits=(0,), frac_count=0")
             return
         int_digits = digits[: len(digits) - frac_count]
@@ -527,7 +585,7 @@ class SexNumber(_Record):
             raise ValueError("integer part must carry at least one digit")
         if len(int_digits) > 1 and int_digits[0] == 0:
             raise ValueError("leading zero in integer part")
-        if int_digits == (0,) and frac_count == 0:
+        if int_digits == b"\0" and frac_count == 0:
             raise ValueError("nonzero sign with zero digits")
         if frac_count and digits[-1] == 0:
             raise ValueError("trailing zero fractional digit")
@@ -544,9 +602,9 @@ class SexNumber(_Record):
         constructor's message.  The result is canonical by construction, so
         its fields are set without the constructor's checks."""
         if sign == 0:
-            return cls._build(0, (0,), 0)
-        if digits.__class__ not in (bytes, bytearray):
-            digits = list(digits)
+            return cls._build(0, b"\0", 0)
+        if digits.__class__ is not bytes:
+            digits = digits if digits.__class__ is bytearray else list(digits)
             try:
                 digits = bytes(digits)
             except (TypeError, ValueError):  # not an int in 0..255
@@ -559,10 +617,10 @@ class SexNumber(_Record):
         head = digits[:int_len].lstrip(b"\0") or b"\0"
         tail = digits[int_len:].rstrip(b"\0")
         if not tail and head == b"\0":
-            return cls._build(0, (0,), 0)
+            return cls._build(0, b"\0", 0)
         digits = head + tail
         _check_sexagesits(digits)
-        return cls._build(1 if sign > 0 else -1, tuple(digits), len(tail))
+        return cls._build(1 if sign > 0 else -1, digits, len(tail))
 
     @classmethod
     def from_int(cls, n: int) -> "SexNumber":
@@ -580,12 +638,19 @@ class SexNumber(_Record):
     def frac_digits(self) -> tuple[int, ...]:
         return self.digits[len(self.digits) - self.frac_count :]
 
+    @property
+    def _parts(self) -> tuple[bytes, bytes]:
+        # the integer and the fractional digits, as bytes
+        cut = len(self._digits) - self.frac_count
+        return self._digits[:cut], self._digits[cut:]
+
     def to_rational(self) -> Fraction:
         return from_sexagesimal(self)
 
     def canonical_text(self) -> str:
         """Render in the canonical ``1;59:0:15`` text form."""
-        return _render(self.sign, self.int_digits, self.frac_digits)
+        int_digits, frac_digits = self._parts
+        return _render(self.sign, int_digits, frac_digits)
 
     def __str__(self) -> str:
         return self.canonical_text()
@@ -601,7 +666,7 @@ def from_sexagesimal(x: SexNumber) -> Fraction:
     from `_valuations_235` capped at 2f, f and f, which divides it out of N.
     """
     f = x.frac_count
-    n = _int_of_digits(x.digits)
+    n = _int_of_digits(x._digits)
     if n.bit_length() <= _DC_BITS:
         return Fraction(x.sign * n, BASE**f)
     a, b, c, n = _valuations_235(n, 2 * f, f, f)
@@ -618,22 +683,6 @@ def _coprime_fraction(num: int, den: int) -> Fraction:
     return x
 
 
-class _PeriodOnRead:
-    """`Expansion.period` of an expansion that keeps its period's bytes and
-    has no tuple yet: the tuple is built from the bytes, stored as the
-    field and returned.  A non-data descriptor, so an expansion that has the
-    field reads it from its dict and never comes here.  On the class, or on
-    an expansion with neither, the attribute is missing, so the field has
-    no default for `_field_init`."""
-
-    def __get__(self, info, owner=None):
-        if info is None or not info._period_bytes:
-            raise AttributeError("period")
-        period = tuple(info._period_bytes)
-        _setattr(info, "period", period)
-        return period
-
-
 class Expansion(_Record):
     """The exact positional expansion of a rational in some base.
 
@@ -644,21 +693,14 @@ class Expansion(_Record):
     it applies.  ``complete`` tells whether the digits shown fully
     characterize the value.
 
-    An expansion `_expand` made with a period of more than `_KEPT_PERIOD`
-    digits keeps the period's digits as the bytes `_repetend` made, in
-    ``_period_bytes``, which is not a field, and builds the ``period``
-    tuple from them on its first read (8 bytes a digit, against their 1):
-    printing reads the bytes and never builds it, and ``repr``, ``==``,
-    ``hash``, pickles and copies read the field, so they see the fields
-    alone.  Those bytes are not all from one emitter: of an even period
-    whose halves mirror each other, the second half is the first's
-    complement.
+    Of an even period whose halves mirror each other, `_expand` makes the
+    second half as the first's complement, not by its emitter.
     """
 
     sign: int
     int_digits: tuple[int, ...]
     frac_digits: tuple[int, ...]
-    period: tuple[int, ...] = _PeriodOnRead()
+    period: tuple[int, ...]
     base: int
     terminates: bool
     frac_len: int | None
@@ -673,31 +715,17 @@ class Expansion(_Record):
     def preperiod_text(self) -> str:
         """Sign, integer part and fractional digits before the repetend,
         e.g. ``0.01`` for 1/60 in base 10."""
-        return _render(self.sign, self.int_digits, self.frac_digits, **self._style)
-
-    # `_expand` sets the bytes on the instance; an expansion built by the
-    # constructor reads this class default, and renders its tuple
-    _period_bytes = b""
-
-    @property
-    def _period_digits(self):
-        return self._period_bytes or self.period
+        return _render(self.sign, self._int_digits, self._frac_digits, **self._style)
 
     @property
     def period_text(self) -> str:
-        return _render(1, self._period_digits, **self._style)
+        return _render(1, self._period, **self._style)
 
     def terminates_within(self, max_frac: int) -> bool:
         return self.terminates and self.frac_len is not None and self.frac_len <= max_frac
 
     def __str__(self) -> str:
-        return _render(
-            self.sign, self.int_digits, self.frac_digits, self._period_digits, self.complete, **self._style
-        )
-
-    def __getstate__(self) -> dict:
-        # the fields alone, as in an expansion built by the constructor
-        return {name: getattr(self, name) for name in self._fields}
+        return _render(self.sign, self._int_digits, self._frac_digits, self._period, self.complete, **self._style)
 
 
 def _valuation(n: int, p: int, cap: int) -> tuple[int, int]:
@@ -795,8 +823,7 @@ def _emit_digits(out: bytearray | list, r: int, den: int, base: int, n: int) -> 
             if n < c:
                 c, power = n, base**n
             q, r = div(r * power, den)
-            out += ((b"%0*d" % (c, q)).translate(_ASCII_TO_DIGIT) if base == 10
-                     else bytes(_digits_of_int(q, base, c)))
+            out += (b"%0*d" % (c, q)).translate(_ASCII_TO_DIGIT) if base == 10 else _digits_of_int(q, base, c)
             n -= c
         return r
     lanes = math.isqrt(2 * n) + 1
@@ -947,16 +974,43 @@ def _tune_malloc(cdll) -> None:
         pass
 
 
+def _within_budget(num: int, den: int, base: int, max_frac: int) -> tuple[bytes, int] | None:
+    """(digits, frac_len) of num/den in ``base`` for a den of more than
+    `_DC_BITS` bits when it terminates within ``max_frac`` digits, tested
+    by one division of base**max_frac by den: then x * base**k is an
+    integer iff base**(max_frac - k) divides num * q, for the quotient q, so
+    the digits of num * q, less their trailing zeros, hold frac_len of
+    them past the point.  None when den does not divide base**max_frac, or
+    when that power has more than twice den's bits, where the division
+    would cost more than `_split_denominator`'s valuations."""
+    if max_frac * base.bit_length() > 2 * den.bit_length():
+        return None
+    # the power as its odd part's, shifted (60**f = 15**f << 2f): half the
+    # time of base**max_frac at thousands of digits, where it squares zeros
+    twos = (base & -base).bit_length() - 1
+    q, r = _divmod((base >> twos) ** max_frac << twos * max_frac, den)
+    if r:
+        return None
+    digits = _digits_of_int(num * q, base, max_frac + 1)
+    kept = digits.rstrip(b"\0")  # den > 1, so a fractional digit is not 0
+    return kept, max_frac - (len(digits) - len(kept))
+
+
 def _expand(x: Fraction, base: int, max_frac: int, detect_repetend: bool) -> tuple[Expansion, int | None]:
     num, den = abs(x.numerator), x.denominator
     sign = 0 if num == 0 else (1 if x.numerator > 0 else -1)
-    preperiod, rest = _split_denominator(den, base)
-    terminates = rest == 1
-    period = ()
+    period = b""
     r = None  # the remainder after frac, when it holds max_frac digits made here
+    if den.bit_length() > _DC_BITS and (within := _within_budget(num, den, base, max_frac)):
+        digits, preperiod = within
+        terminates = True
+    else:
+        preperiod, rest = _split_denominator(den, base)
+        terminates = rest == 1
+        if terminates:
+            # den | base**preperiod, so this is num / den * base**preperiod exactly
+            digits = _digits_of_int(num * (base**preperiod // den), base, preperiod + 1)
     if terminates:
-        # den | base**preperiod, so this is num / den * base**preperiod exactly
-        digits = _digits_of_int(num * (base**preperiod // den), base, preperiod + 1)
         cut = len(digits) - preperiod
         int_digits, frac = digits[:cut], digits[cut:]
         complete = True
@@ -966,17 +1020,11 @@ def _expand(x: Fraction, base: int, max_frac: int, detect_repetend: bool) -> tup
         if detect_repetend:
             frac, period, complete = _repetend(rem, den, rest, base, preperiod, max_frac)
         else:
-            frac, complete = [], False
+            frac, complete = bytearray(), False
             r = _emit_digits(frac, rem, den, base, max_frac)
-
-    kept = len(period) > _KEPT_PERIOD
     info = Expansion(
-        sign, int_digits, frac, () if kept else period, base, terminates, preperiod if terminates else None, complete
+        sign, int_digits, bytes(frac), bytes(period), base, terminates, preperiod if terminates else None, complete
     )
-    if kept:
-        # the field is built from the bytes on its first read
-        object.__delattr__(info, "period")
-        _setattr(info, "_period_bytes", bytes(period))
     return info, r
 
 
@@ -996,21 +1044,21 @@ def to_sexagesimal(
     info, r = _expand(x, BASE, max_frac, detect_repetend)
     if info.terminates_within(max_frac):
         # exact at this budget: the expansion's digits are the number's
-        return SexNumber.from_digits(info.sign, bytes(info.int_digits + info.frac_digits), info.frac_len), info
+        return SexNumber.from_digits(info.sign, info._int_digits + info._frac_digits, info.frac_len), info
     # the first max_frac fractional digits: the pre-period, then the period
-    # repeated (sliced before bytes(), as a period may be far longer), and
-    # past a give-up the digits the search did not reach; r is the remainder
-    # after them, which `_expand` returns when it made the digits itself
+    # repeated (sliced first, as a period may be far longer), and past a
+    # give-up the digits the search did not reach; r is the remainder after
+    # them, which `_expand` returns when it made the digits itself
     num, den = abs(x.numerator), x.denominator
-    frac = bytearray(info.frac_digits[:max_frac])
-    period = info._period_digits
+    frac = bytearray(info._frac_digits[:max_frac])
+    period = info._period
     if period:
-        frac += bytes(period[:max_frac]) * -((len(frac) - max_frac) // len(period))
+        frac += period[:max_frac] * -((len(frac) - max_frac) // len(period))
         del frac[max_frac:]
     if r is None:
         r = _emit_digits(frac, num * pow(BASE, len(frac), den) % den, den, BASE, max_frac - len(frac))
     # a spare leading 0 takes a carry out of the top
-    digits = bytearray(1) + bytes(info.int_digits) + frac
+    digits = bytearray(1) + info._int_digits + frac
     d = digits[-1]
     # 60 is even, so d has the parity of the whole quotient
     if _round_quotient(d * den + r, den, mode) > d:

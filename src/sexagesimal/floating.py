@@ -30,7 +30,7 @@ class SexFloat(_Record):
     exponent: int
 
     def _check(self):
-        sign, mantissa = self.sign, self.mantissa
+        sign, mantissa = self.sign, self._mantissa
         _check_signed_digits(sign, mantissa, "mantissa")
         if sign == 0:
             if any(mantissa) or self.exponent != 0:
@@ -40,21 +40,21 @@ class SexFloat(_Record):
 
     @classmethod
     def zero(cls, precision: int) -> "SexFloat":
-        mantissa = (0,) * precision
+        mantissa = b"\0" * precision
         if not mantissa:  # the constructor's error
             return cls(0, mantissa, 0)
         return cls._build(0, mantissa, 0)
 
     @property
     def precision(self) -> int:
-        return len(self.mantissa)
+        return len(self._mantissa)
 
     def to_rational(self) -> Fraction:
         return from_sexagesimal(self.to_sex_number())
 
     def to_sex_number(self) -> SexNumber:
         """Lay the mantissa out positionally (exact; trailing zeros dropped)."""
-        digits = bytes(self.mantissa).ljust(self.exponent, b"\0")  # zeros up to the radix point
+        digits = self._mantissa.ljust(self.exponent, b"\0")  # zeros up to the radix point
         return SexNumber.from_digits(self.sign, digits, len(digits) - self.exponent)
 
     @classmethod
@@ -64,14 +64,14 @@ class SexFloat(_Record):
         normalized mantissa, so it is set without the constructor's checks."""
         if x.is_zero:
             return cls.zero(precision or 1)
-        digits = bytes(x.digits).lstrip(b"\0")
+        digits = x._digits.lstrip(b"\0")
         exponent = len(digits) - x.frac_count
         digits = digits.rstrip(b"\0")
         if precision is not None:
             if len(digits) > precision:
                 raise DomainError(f"{len(digits)} significant sexagesits do not fit precision {precision}")
             digits = digits.ljust(precision, b"\0")
-        return cls._build(x.sign, tuple(digits), exponent)
+        return cls._build(x.sign, digits, exponent)
 
     def __str__(self) -> str:
         return self.to_sex_number().canonical_text()
@@ -129,7 +129,7 @@ def normalize_float(x: Fraction, precision: int, mode: str = TRUNC) -> SexFloat:
         m //= BASE
         e += 1
     # 60**(precision - 1) <= m < 60**precision: a normalized mantissa
-    return SexFloat._build(1 if x.numerator > 0 else -1, tuple(_digits_of_int(m, width=precision)), e)
+    return SexFloat._build(1 if x.numerator > 0 else -1, _digits_of_int(m, width=precision), e)
 
 
 def machine_epsilon(precision: int) -> Fraction:

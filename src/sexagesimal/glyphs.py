@@ -116,7 +116,8 @@ def _read_tsv(resource: str) -> list[list[str]]:
 
 def encode_glyphs(x: SexNumber, table: GlyphTable = DEFAULT_TABLE) -> str:
     """One canonical glyph per sexagesit; ``;`` as radix point, ``-`` sign."""
-    return _render(x.sign, x.int_digits, x.frac_digits, symbols=table._alphabet)
+    int_digits, frac_digits = x._parts
+    return _render(x.sign, int_digits, frac_digits, symbols=table._alphabet)
 
 
 def _decode_raw(text: str, table: GlyphTable) -> list[int]:

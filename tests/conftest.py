@@ -36,10 +36,19 @@ def nonzero_rationals():
     return rationals().filter(lambda f: f != 0)
 
 
+def kept_digits(record):
+    """The bytes a record keeps of each of its digit fields, by field name."""
+    return {name: vars(record)[key] for name, key in type(record)._digit_keys.items()}
+
+
 def assert_same_record(built, expected):
     """``built`` and ``expected`` are the same record: equal, with equal
-    types, fields, hashes, reprs, pickles and copies.  For records a builder
-    made without the constructor's checks, against the constructor's."""
+    types, fields, hashes, reprs, pickles and copies, the same bytes kept of
+    each digit field, and equal attributes once the fields are read.  For
+    records a builder made without the constructor's checks, against the
+    constructor's."""
+    assert kept_digits(built) == kept_digits(expected)
+    assert all(type(digits) is bytes for digits in kept_digits(built).values())
     assert built == expected and type(built) is type(expected)
     assert vars(built) == vars(expected)
     assert hash(built) == hash(expected)
@@ -80,5 +89,6 @@ def run_python(args, timeout, env=None, text=True):
 
 
 __all__ = [
-    "sex_numbers", "rationals", "nonzero_rationals", "assert_same_record", "frac_stream", "run_python", "Fraction",
+    "sex_numbers", "rationals", "nonzero_rationals", "assert_same_record", "kept_digits", "frac_stream", "run_python",
+    "Fraction",
 ]

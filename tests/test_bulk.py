@@ -338,8 +338,8 @@ class TestPackedFold:
                 assert _int_of_digits(tuple(digits), base) == value
                 assert _int_of_digits(bytes(digits), base) == value
                 padded = _digits_of_int(value, base, n)
-                assert padded == digits
-                assert isinstance(padded, list)
+                assert padded == bytes(digits)
+                assert isinstance(padded, bytes)
 
     @pytest.mark.parametrize("base", [10, 60])
     def test_split_leaf_edges(self, base):
@@ -351,14 +351,14 @@ class TestPackedFold:
                 digits = _digits_of_int(n, base)
                 assert _horner(digits, base) == n
                 assert digits[0] != 0
-                assert _digits_of_int(n, base, len(digits) + 70) == [0] * 70 + digits
+                assert _digits_of_int(n, base, len(digits) + 70) == bytes(70) + digits
 
     @given(st.lists(st.integers(0, 59), min_size=_FOLD_DIGITS + 1, max_size=2_000), st.integers(0, 3))
     def test_random_sequences(self, digits, zeros):
         digits = [0] * zeros + digits
         value = _horner(digits, 60)
         assert _int_of_digits(digits) == value
-        assert _digits_of_int(value, 60, len(digits)) == digits
+        assert _digits_of_int(value, 60, len(digits)) == bytes(digits)
 
 
 class TestDigitBytes:

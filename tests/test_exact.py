@@ -16,7 +16,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import frac_stream, nonzero_rationals, rationals, run_python, sex_numbers
+from conftest import frac_stream, kept_digits, nonzero_rationals, rationals, run_python, sex_numbers
 from sexagesimal import cli, exact
 from sexagesimal.errors import quote
 from sexagesimal.exact import (
@@ -25,9 +25,9 @@ from sexagesimal.exact import (
     _DEC_BLOCK,
     _DIV_BITS,
     _LANE_BITS,
-    _KEPT_PERIOD,
     _LONGDIV_DIGITS,
     _ONE_DIGIT,
+    _TRANSLATE_DIGITS,
     _Record,
     _digits_of_int,
     _divmod,
@@ -44,6 +44,7 @@ from sexagesimal import (
     TRUNC,
     DomainError,
     ParseError,
+    SexFloat,
     SexNumber,
     arith,
     decode_canonical,
@@ -51,6 +52,7 @@ from sexagesimal import (
     from_sexagesimal,
     int_sqrt,
     is_regular,
+    normalize_float,
     parse_decimal,
     to_decimal,
     to_sexagesimal,
@@ -901,11 +903,11 @@ class TestDigitKernel:
             values += [base**k - 1, base**k, base**k + 1, 7 * base**k + 3]
         for n in values:
             digits = _naive_digits(n, base)
-            assert _digits_of_int(n, base) == digits, n
+            assert _digits_of_int(n, base) == bytes(digits), n
             assert _int_of_digits(digits, base) == n
             for extra in (1, leaf + 5):
                 padded = _digits_of_int(n, base, len(digits) + extra)
-                assert padded == [0] * extra + digits
+                assert padded == bytes(extra) + bytes(digits)
                 assert _int_of_digits(padded, base) == n
             if base == 60:
                 # SexNumber.from_int of -n and n: its value and its canonical text
@@ -913,7 +915,7 @@ class TestDigitKernel:
                     x = SexNumber.from_int(value)
                     assert from_sexagesimal(x) == value
                     assert x.canonical_text() == "-" * (value < 0) + ":".join(map(str, digits))
-        assert _digits_of_int(0, base, 0) == []
+        assert _digits_of_int(0, base, 0) == b""
         assert _int_of_digits([], base) == 0
 
     @given(st.sampled_from([10, 60]), st.integers(1, 40), st.integers(0, 2**32), st.booleans())
@@ -928,9 +930,9 @@ class TestDigitKernel:
             digits[start:stop] = [0] * (stop - start)
         n = _naive_int(digits, base)
         assert _int_of_digits(digits, base) == n
-        assert _digits_of_int(n, base) == digits
+        assert _digits_of_int(n, base) == bytes(digits)
         width = length + rng.randrange(0, 3 * leaf)
-        assert _digits_of_int(n, base, width) == _naive_digits(n, base, width)
+        assert _digits_of_int(n, base, width) == bytes(_naive_digits(n, base, width))
 
     @pytest.mark.parametrize("k", [10_000, 30_000, 100_000])
     def test_large_edges_in_closed_form(self, k):
@@ -949,10 +951,10 @@ class TestDigitKernel:
         digits[k // 3 : 2 * k // 3] = [0] * (2 * k // 3 - k // 3)
         cases.append((_int_of_digits(digits), digits))
         for n, digits in cases:
-            assert _digits_of_int(n) == digits
+            assert _digits_of_int(n) == bytes(digits)
             assert _int_of_digits(digits) == n
         n, digits = cases[-2]
-        assert _digits_of_int(n, b, len(digits) + 5) == [0] * 5 + digits
+        assert _digits_of_int(n, b, len(digits) + 5) == bytes(5) + bytes(digits)
 
     def test_split_scales_subquadratically(self):
         # the builtin divmod is quadratic through CPython 3.11, so the split
@@ -1088,6 +1090,84 @@ class TestTerminatingLength:
         info = to_decimal(x) if base == 10 else to_sexagesimal(x, 4, detect_repetend=True)[1]
         assert info.frac_digits == tuple(pre)
         assert info.period == tuple(period)
+
+
+def _budget_dens(rng, base):
+    """Denominators named by shape, on both sides of `_DC_BITS` bits:
+    regular numbers, regular numbers times a cofactor coprime to 30, powers
+    of 10, and 60**f over a regular divisor g of it."""
+    dens = {}
+    for bits in (200, 500, 530, 1500, 4000):
+        a = rng.randrange(bits // 2, bits)
+        b = rng.randrange(0, (bits - a) // 2 + 1)
+        c = max(0, (bits - a - 2 * b) // 3)
+        dens[f"regular-{bits}"] = 2**a * 3**b * 5**c
+        cofactor = rng.choice([7, 999_983, rng.getrandbits(40) * 30 + 7])
+        dens[f"regular-cofactor-{bits}"] = 2**a * 3**b * 5**c * cofactor
+    for k in (20, 154, 155, 300, 1000):
+        dens[f"ten-{k}"] = 10**k
+    for f in (40, 86, 87, 88, 200, 700):
+        g = 2 ** rng.randrange(2 * f) * 3 ** rng.randrange(f // 2) * 5 ** rng.randrange(f // 3)
+        dens[f"sixty-{f}"] = 60**f // g
+    wide = [name for name, den in dens.items() if den.bit_length() > _DC_BITS]
+    assert wide and len(wide) < len(dens)
+    return dens
+
+
+class TestWithinBudget:
+    # `_expand` tests a denominator of more than _DC_BITS bits for an
+    # expansion that terminates within max_frac digits by one division of
+    # base**max_frac (`_within_budget`); forced off, `_split_denominator`
+    # decides every case.  Both must give equal expansions and equal
+    # rounded numbers, in every rounding mode, with max_frac below, at and
+    # above the pre-period
+    @pytest.mark.parametrize("base", [10, 60])
+    def test_against_the_split(self, base, monkeypatch):
+        rng = random.Random(26 + base)
+        cases = []
+        for den in _budget_dens(rng, base).values():
+            pre = _split_denominator(den, base)[0]
+            for max_frac in sorted({max(pre - 1, 0), pre, pre + 1, 2 * pre + 5}):
+                for num in (1, -1, rng.getrandbits(den.bit_length() + 40) | 1, -rng.getrandbits(100) - 1):
+                    cases.append((Fraction(num, den), max_frac))
+
+        def results():
+            out = []
+            for x, max_frac in cases:
+                out += [_expand(x, base, max_frac, detect) for detect in (False, True)]
+                if base == 60:
+                    out += [to_sexagesimal(x, max_frac, mode, detect) for mode in ROUNDING_MODES for detect in (False, True)]
+            return out
+
+        taken = []
+        route = exact._within_budget
+
+        def counted(*args):
+            within = route(*args)
+            taken.append(within is not None)
+            return within
+
+        monkeypatch.setattr(exact, "_within_budget", counted)
+        shipped = results()
+        monkeypatch.setattr(exact, "_within_budget", lambda *args: None)
+        assert results() == shipped
+        # the route decided some cases and passed others on
+        assert any(taken) and not all(taken)
+
+    def test_terminating_conversion_costs_at_most_its_kernel(self):
+        # 10**4 sexagesits, half of them fractional, over 60**5000: two
+        # valuation ladders of about 25 big divisions split the denominator,
+        # and the digits went list -> two tuples -> bytes -> tuple, so that
+        # to_sexagesimal cost 1.54-1.56x the int -> digits kernel of its
+        # scaled numerator (CPython 3.11 and 3.13; 1.03 with one division
+        # and digits kept as bytes)
+        rng = random.Random(26)
+        n, f = 10_000, 5_000
+        v = rng.randrange(60 ** (n - 1), 60**n) | 1  # odd, so the fraction stays over 60**5000's 2**10000
+        x = Fraction(v, 60**f)
+        assert to_sexagesimal(x, f)[0].digits == tuple(_digits_of_int(v))
+        convert, kernel = _best_of(lambda: to_sexagesimal(x, f), lambda: _digits_of_int(v))
+        assert convert <= 1.2 * kernel
 
 
 class TestPeriodStateBound:
@@ -1525,9 +1605,8 @@ def _expand_against_longdiv(num, den, base):
     x = Fraction(num, den)
     pre, period = _longdiv(x.numerator, x.denominator, base, limit=10**5)
     info = _expand(x, base, 8, True)[0]
+    assert kept_digits(info)["period"] == bytes(period), (x, base)
     assert info.complete and (info.frac_digits, info.period) == (tuple(pre), tuple(period)), (x, base)
-    kept = vars(info).get("_period_bytes")
-    assert kept == (bytes(period) if len(period) > _KEPT_PERIOD else None)
     return period
 
 
@@ -1679,21 +1758,20 @@ class TestRendering:
         shown = exact.Expansion(info.sign, info.int_digits, info.frac_digits, (), base, True, None, True)
         assert info.preperiod_text == _naive_text(shown)
 
-    # an expansion keeps the bytes its period was made in, outside its
-    # fields, once the period passes _KEPT_PERIOD digits: it equals,
+    # an expansion keeps the bytes each digit field was made in, under a key
+    # that is no field, short periods and long ones alike: it equals,
     # hashes, prints, pickles and copies as the record the constructor
-    # builds from its fields, which keeps no bytes.  The bytes are
+    # builds from its fields, which keeps the same bytes.  The bytes are
     # immutable, so no one can change the text without the fields.
     @pytest.mark.parametrize("base, den", [(10, 7), (60, 60**250 + 1), (10, 999_983), (60, 60**2100 + 1)])
     def test_kept_period_bytes_are_no_field(self, base, den):
         info = _expand(Fraction(-3, den), base, 8, True)[0]
+        kept = kept_digits(info)
+        assert set(kept) == {"int_digits", "frac_digits", "period"} and not set(kept) & set(vars(info))
+        assert all(type(digits) is bytes for digits in kept.values())
+        assert not set(exact.Expansion._digit_keys.values()) & set(exact.Expansion._fields)
         built = exact.Expansion(*info._values())
-        kept = vars(info).get("_period_bytes")
-        if len(info.period) > _KEPT_PERIOD:
-            assert type(kept) is bytes and kept == bytes(info.period)
-        else:
-            assert kept is None
-        assert "_period_bytes" not in vars(built)
+        assert kept_digits(built) == kept and kept["period"] == bytes(info.period)
         assert info == built and hash(info) == hash(built) and repr(info) == repr(built)
         assert str(info) == str(built) and info.period_text == built.period_text
         assert pickle.dumps(info) == pickle.dumps(built) and pickle.loads(pickle.dumps(info)) == built
@@ -1734,7 +1812,7 @@ def _spell_cases():
     """Digit sequences named by what they hold and how long they are: every
     sexagesit in turn, one-character numerals (below 10) alone, two-character
     ones alone, and random digits, each empty, short, and one either side
-    of `_KEPT_PERIOD` and at it."""
+    of `_TRANSLATE_DIGITS` and at it."""
     rng = random.Random(25)
     kinds = {
         "every": lambda i: i % 60,
@@ -1742,7 +1820,7 @@ def _spell_cases():
         "long": lambda i: rng.randrange(10, 60),
         "random": lambda i: rng.randrange(60),
     }
-    lengths = [0, 1, 9, 60, _KEPT_PERIOD - 1, _KEPT_PERIOD, _KEPT_PERIOD + 1]
+    lengths = [0, 1, 9, 60, _TRANSLATE_DIGITS - 1, _TRANSLATE_DIGITS, _TRANSLATE_DIGITS + 1]
     return {f"{kind}-{n}": [digit(i) for i in range(n)] for kind, digit in kinds.items() for n in lengths}
 
 
@@ -1750,73 +1828,107 @@ _SPELL_CASES = _spell_cases()
 
 
 class TestSpellRoutes:
-    # canonical text drops _BCD's f marks by str.replace up to _KEPT_PERIOD
-    # digits and by str.translate past it.  Each route, forced by moving the
-    # cutoff below or above every length, and the cutoff as it is must
-    # spell what a per-digit join spells, from the bytes a kept period is
-    # and from the tuples the fields are.
+    # canonical text drops _BCD's f marks by str.replace up to
+    # _TRANSLATE_DIGITS digits and by str.translate past it.  Each route,
+    # forced by moving the cutoff below or above every length, and the
+    # cutoff as it is must spell what a per-digit join spells, from the
+    # bytes records keep and from tuples.
     @pytest.mark.parametrize("cutoff", [-1, None, 10**9], ids=["translate", "as-is", "replace"])
     @pytest.mark.parametrize("name", sorted(_SPELL_CASES))
     def test_routes_against_a_joined_numeral_per_digit(self, cutoff, name, monkeypatch):
         if cutoff is not None:
-            monkeypatch.setattr(exact, "_KEPT_PERIOD", cutoff)
+            monkeypatch.setattr(exact, "_TRANSLATE_DIGITS", cutoff)
         digits = _SPELL_CASES[name]
         for given in (bytes(digits), tuple(digits)):
             assert exact._spell(given, None) == _joined(digits), name
 
     @given(st.lists(st.integers(0, 59), max_size=200), st.sampled_from([-1, 10**9]))
     def test_short_sequences_on_either_route(self, digits, cutoff):
-        old = exact._KEPT_PERIOD
-        exact._KEPT_PERIOD = cutoff
+        old = exact._TRANSLATE_DIGITS
+        exact._TRANSLATE_DIGITS = cutoff
         try:
             assert exact._spell(digits, None) == _joined(digits)
         finally:
-            exact._KEPT_PERIOD = old
+            exact._TRANSLATE_DIGITS = old
 
 
-def _matched_period(info):
-    match info:
-        case exact.Expansion(period=period):
-            return period
+def _matched_fields(record):
+    match record:
+        case exact.Expansion(int_digits=int_digits, frac_digits=frac_digits, period=period):
+            return int_digits, frac_digits, period
+        case SexNumber(digits=digits):
+            return digits
+        case SexFloat(mantissa=mantissa):
+            return mantissa
 
 
 # the views of a record that read its fields: each must agree with the
-# record the constructor builds, whether the period has been read or not
+# record the constructor builds, whether its digit fields have been read or not
 _VIEWS = {
-    "eq": lambda info: info,
+    "eq": lambda record: record,
     "hash": hash,
     "repr": repr,
     "pickle": pickle.dumps,
-    "unpickled": lambda info: pickle.loads(pickle.dumps(info)),
+    "unpickled": lambda record: pickle.loads(pickle.dumps(record)),
     "copy": copy.copy,
     "deepcopy": copy.deepcopy,
-    "match": _matched_period,
+    "match": _matched_fields,
 }
 
 
+def _constructor_twin(record):
+    """The record the constructor builds from ``record``'s field values, the
+    digit fields given as the bytes it keeps, so that no field is read."""
+    fields = {name: getattr(record, name) for name in type(record)._fields if name not in type(record)._digit_keys}
+    return type(record)(**fields, **kept_digits(record))
+
+
+def _read_digit_fields(record):
+    return [getattr(record, name) for name in type(record)._digit_keys]
+
+
+@pytest.fixture
+def tuples_built(monkeypatch):
+    """The name of each digit field whose tuple is built, in order."""
+    built = []
+    read = exact._DigitField.__get__
+
+    def spy(self, record, owner=None):
+        built.append(self.name)
+        return read(self, record, owner)
+
+    monkeypatch.setattr(exact._DigitField, "__get__", spy)
+    return built
+
+
 class TestPeriodOnRead:
-    # an expansion that keeps the bytes of a period past _KEPT_PERIOD digits
-    # builds the period's tuple only when the field is first read, and
-    # keeps it; every view of the record sees the field as the constructor
-    # stores it.  The twin is built by the constructor from the kept bytes,
-    # so it does not go through the expansion's own reading of the field.
-    X = Fraction(-3, 999_983)
+    # an expansion keeps each digit field as bytes, a period of 999,982
+    # digits too, and builds a field's tuple only when it is first read,
+    # and keeps it; every view of the record sees the fields as the
+    # constructor stores them.  The twin is built by the constructor from
+    # the kept bytes, so it does not go through the expansion's own reading
+    # of the fields.
+    X = Fraction(-3_000_000_007, 999_983 * 400)  # a pre-period in bases 10 and 60
 
     def _pair(self, base):
         info = _expand(self.X, base, 8, True)[0]
         twin = _expand(self.X, base, 8, True)[0]
-        assert "period" not in vars(info) and "period" not in vars(twin)
-        fields = {name: getattr(twin, name) for name in exact.Expansion._fields if name != "period"}
-        return info, exact.Expansion(**fields, period=twin._period_bytes)
+        built = _constructor_twin(twin)
+        assert not {"int_digits", "frac_digits", "period"} & (set(vars(info)) | set(vars(built)))
+        return info, built
 
     @pytest.mark.parametrize("base", [10, 60])
-    def test_tuple_is_built_once_on_first_read(self, base):
+    def test_tuple_is_built_once_on_first_read(self, base, tuples_built):
         info, built = self._pair(base)
         assert str(info) == str(built) and info.period_text == built.period_text
-        assert "period" not in vars(info)
-        period = info.period
-        assert type(period) is tuple and len(period) == 999_982 and period == built.period
-        assert vars(info)["period"] is period and info.period is period
+        assert info.preperiod_text == built.preperiod_text and tuples_built == []
+        for name in ("int_digits", "frac_digits", "period"):
+            digits = getattr(info, name)
+            assert type(digits) is tuple and digits and digits == getattr(built, name)
+            assert vars(info)[name] is digits and getattr(info, name) is digits
+        assert len(info.period) == 999_982
+        # each field's, the record's then its twin's
+        assert tuples_built == ["int_digits", "int_digits", "frac_digits", "frac_digits", "period", "period"]
 
     @pytest.mark.parametrize("base", [10, 60])
     @pytest.mark.parametrize("read_first", [False, True])
@@ -1824,8 +1936,10 @@ class TestPeriodOnRead:
     def test_views_match_the_constructor(self, base, read_first, view):
         info, built = self._pair(base)
         if read_first:
-            info.period
-        assert ("period" in vars(info)) == read_first
+            _read_digit_fields(info)
+        assert {name: name in vars(info) for name in ("int_digits", "frac_digits", "period")} == dict.fromkeys(
+            ("int_digits", "frac_digits", "period"), read_first
+        )
         assert _VIEWS[view](info) == _VIEWS[view](built)
 
     def test_field_has_no_default(self):
@@ -1834,17 +1948,12 @@ class TestPeriodOnRead:
             exact.Expansion(1, (0,), ())
 
     # printing reads the kept bytes: the command line prints 1/999983 in
-    # every notation without building the tuple
-    def test_cli_builds_no_tuple(self, monkeypatch, capsys):
-        built = []
-        read = exact._PeriodOnRead.__get__
+    # every notation, and every golden case, without building a tuple
+    def test_cli_builds_no_tuple(self, tuples_built, capsys):
+        from test_cli import DATA, GOLDEN_CASES
 
-        def spy(self, info, owner=None):
-            built.append(info)
-            return read(self, info, owner)
-        monkeypatch.setattr(exact._PeriodOnRead, "__get__", spy)
-        assert len(_expand(self.X, 60, 8, True)[0].period) == 999_982 and len(built) == 1
-        built.clear()
+        assert len(_expand(self.X, 60, 8, True)[0].period) == 999_982 and tuples_built == ["period"]
+        tuples_built.clear()
         heads = {
             "canonical": "0;(" + _joined(frac_stream(1, 999_983, 60, 8)) + ":",
             "decimal": "0.(" + "".join(map(str, frac_stream(1, 999_983, 10, 20))),
@@ -1854,7 +1963,13 @@ class TestPeriodOnRead:
             assert cli.main(["arith", "--to", notation, "div", "1", "999983"]) == 0
             out, err = capsys.readouterr()
             assert err == "" and out.startswith(head) and out.endswith(")\n"), notation
-        assert built == []
+        assert len(GOLDEN_CASES) == 21
+        for name, argv in GOLDEN_CASES.items():
+            assert cli.main(argv) == 0
+            out, err = capsys.readouterr()
+            assert err == "" and out == (DATA / f"{name}.txt").read_text(encoding="utf-8"), name
+        assert tuples_built == []
+
 
     # the tuple alone would take 8 bytes a digit, 8 MB; the expansion's peak
     # is the emitter's bytearray and the kept bytes, 1 MB each (1.91 MiB on
@@ -1870,3 +1985,86 @@ class TestPeriodOnRead:
             tracemalloc.stop()
         assert peak < 3 << 20
         assert len(info.period) == 999_982
+
+
+# a builder-made record of each kind with digit fields, short and long
+_DIGIT_RECORDS = {
+    "number": lambda: SexNumber.from_digits(-1, (1, 59, 0, 15), 3),
+    "number-long": lambda: to_sexagesimal(Fraction(-(10**400) - 7, 60**150), 150)[0],
+    "float": lambda: normalize_float(Fraction(2, 7), 5),
+    "float-long": lambda: normalize_float(Fraction(2, 7), 300),
+    "expansion": lambda: to_sexagesimal(Fraction(-7, 11 * 3600), 3, detect_repetend=True)[1],
+    "expansion-terminating": lambda: to_decimal(Fraction(-(10**300) - 1, 2**600)),
+}
+
+
+class TestDigitFields:
+    # SexNumber.digits, SexFloat.mantissa and Expansion's three digit
+    # fields are one kind of field: kept as bytes, each built as a tuple on
+    # its first read and kept, every view equal to the constructor's
+    # record's, whether the fields have been read or not
+    @pytest.mark.parametrize("read_first", [False, True])
+    @pytest.mark.parametrize("view", sorted(_VIEWS))
+    @pytest.mark.parametrize("kind", sorted(_DIGIT_RECORDS))
+    def test_views_match_the_constructor(self, kind, view, read_first):
+        record = _DIGIT_RECORDS[kind]()
+        built = _constructor_twin(record)
+        assert kept_digits(record) == kept_digits(built)
+        assert all(type(digits) is bytes for digits in kept_digits(record).values())
+        if read_first:
+            _read_digit_fields(record)
+        assert all((name in vars(record)) == read_first for name in type(record)._digit_keys)
+        assert _VIEWS[view](record) == _VIEWS[view](built)
+
+    @pytest.mark.parametrize("kind", sorted(_DIGIT_RECORDS))
+    def test_tuple_is_built_once_on_first_read(self, kind, tuples_built):
+        record = _DIGIT_RECORDS[kind]()
+        str(record)
+        assert tuples_built == []
+        first = _read_digit_fields(record)
+        assert tuples_built == list(type(record)._digit_keys)
+        assert all(type(digits) is tuple and all(type(d) is int for d in digits) for digits in first)
+        second = _read_digit_fields(record)
+        assert all(a is b for a, b in zip(first, second)) and len(tuples_built) == len(first)
+
+    # pickles written while the records kept tuples: protocol 2, with the
+    # fields by name as their state, as records pickle now
+    OLD_PICKLES = {
+        SexNumber(-1, (1, 59, 0, 15), 3): (
+            b"\x80\x02csexagesimal.exact\nSexNumber\nq\x00)\x81q\x01}q\x02(X\x04\x00\x00\x00signq\x03J\xff\xff"
+            b"\xff\xffX\x06\x00\x00\x00digitsq\x04(K\x01K;K\x00K\x0ftq\x05X\n\x00\x00\x00frac_countq\x06K\x03ub."
+        ),
+        SexFloat(1, (17, 8, 34, 17, 8), 0): (
+            b"\x80\x02csexagesimal.floating\nSexFloat\nq\x00)\x81q\x01}q\x02(X\x04\x00\x00\x00signq\x03K\x01X"
+            b"\x08\x00\x00\x00mantissaq\x04(K\x11K\x08K\"K\x11K\x08tq\x05X\x08\x00\x00\x00exponentq\x06K\x00ub."
+        ),
+        exact.Expansion(-1, (0,), (0, 0), (38, 10, 54, 32, 43), 60, False, None, True): (
+            b"\x80\x02csexagesimal.exact\nExpansion\nq\x00)\x81q\x01}q\x02(X\x04\x00\x00\x00signq\x03J\xff\xff"
+            b"\xff\xffX\n\x00\x00\x00int_digitsq\x04K\x00\x85q\x05X\x0b\x00\x00\x00frac_digitsq\x06K\x00K\x00"
+            b"\x86q\x07X\x06\x00\x00\x00periodq\x08(K&K\nK6K K+tq\tX\x04\x00\x00\x00baseq\nK<X\n\x00\x00\x00"
+            b"terminatesq\x0b\x89X\x08\x00\x00\x00frac_lenq\x0cNX\x08\x00\x00\x00completeq\r\x88ub."
+        ),
+    }
+
+    @pytest.mark.parametrize("index", range(3))
+    def test_record_from_a_tuple_state(self, index):
+        # a state that holds the digit fields as tuples, as every pickle
+        # and copy state written before records kept bytes does: the record
+        # restored from it keeps bytes, and prints, converts and compares
+        # as the constructor's; it pickles to the same bytes again
+        expected, old = list(self.OLD_PICKLES.items())[index]
+        restored = pickle.loads(old)
+        assert kept_digits(restored) == kept_digits(expected)
+        assert not set(kept_digits(restored)) & set(vars(restored))
+        assert str(restored) == str(expected)
+        if isinstance(restored, exact.Expansion):
+            assert restored.period_text == expected.period_text
+        else:
+            assert restored.to_rational() == expected.to_rational()
+        assert restored == expected and hash(restored) == hash(expected) and repr(restored) == repr(expected)
+        assert pickle.dumps(restored, 2) == pickle.dumps(expected, 2) == old
+        state = {name: getattr(expected, name) for name in type(expected)._fields}
+        assert expected.__getstate__() == state
+        bare = type(expected).__new__(type(expected))
+        bare.__setstate__(state)
+        assert kept_digits(bare) == kept_digits(expected) and bare == expected

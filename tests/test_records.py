@@ -304,10 +304,14 @@ TUPLE_RECORDS = {
 @pytest.mark.parametrize("make", [list, iter], ids=["list", "iterator"])
 @pytest.mark.parametrize("cls", TUPLE_RECORDS, ids=[cls.__name__ for cls in TUPLE_RECORDS])
 def test_tuple_fields_are_stored_as_tuples(cls, make):
-    # a list or an iterator given for a tuple field is stored as a tuple, so
-    # the record equals and hashes as its tuple-built twin and cannot grow
+    # a list or an iterator given for a tuple field is stored as a tuple, or
+    # for a digit field as bytes that read as a tuple, so the record equals
+    # and hashes as its tuple-built twin and cannot grow
     record, names = TUPLE_RECORDS[cls]
     fields = {name: getattr(record, name) for name in cls.__annotations__}
     built = cls(**{name: make(value) if name in names else value for name, value in fields.items()})
+    kept = {name: vars(built)[key] for name, key in cls._digit_keys.items()}
+    assert set(kept) <= set(names) and [type(digits) for digits in kept.values()] == [bytes] * len(kept)
+    assert kept == {name: bytes(fields[name]) for name in kept}
     assert built == record and hash(built) == hash(record)
     assert [type(getattr(built, name)) for name in names] == [tuple] * len(names)
