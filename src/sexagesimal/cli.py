@@ -8,6 +8,7 @@ for fixed input and flags; all numeric input is plain text.
 """
 
 import argparse
+import gc
 import sys
 
 from .algorithms import (
@@ -291,5 +292,22 @@ def main(argv: list[str] | None = None) -> int:
     return code
 
 
+def run() -> None:
+    """The entry point of a one-shot process (``python -m sexagesimal``, the
+    console script): `main` on ``sys.argv``, then exit with its code.
+
+    The process ends right after, so the heap is frozen first, for usage
+    errors too: `gc.freeze` moves every tracked object to the permanent
+    generation, which the interpreter's collections at shutdown skip (about
+    5 ms of a 45 ms call).  ``atexit`` handlers, stream flushing and module
+    teardown still run.  `main` freezes nothing, for callers that go on.
+    """
+    try:
+        code = main()
+    finally:
+        gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -67,7 +67,7 @@ _SEXAGESITS = bytes(range(BASE))
 # limit), ASCII digits to values, measured route cutoffs and the one-digit bound
 _DEC_BLOCK = 300
 _ASCII_TO_DIGIT = bytes.maketrans(_ASCII_DIGITS.encode(), bytes(range(10)))
-_LANE_BITS, _LONGDIV_DIGITS, _ONE_DIGIT = 96, 200, 1 << sys.int_info.bits_per_digit
+_LANE_BITS, _LONGDIV_DIGITS, _LANE_DIGITS, _ONE_DIGIT = 96, 200, 128, 1 << sys.int_info.bits_per_digit
 
 # drops the f marks from `_BCD`'s hex text: past `_TRANSLATE_DIGITS` digits
 # ``str.translate``'s ASCII fast path beats ``str.replace``, which wins on
@@ -793,15 +793,20 @@ def _split_denominator(den: int, base: int) -> tuple[int, int]:
 
 def _emit_digits(out: bytearray | list, r: int, den: int, base: int, n: int) -> int:
     """Append the next ``n`` digits of r/den (0 <= r < den) in ``base`` to
-    ``out`` and return the remainder after them, by one of three routes:
+    ``out`` and return the remainder after them, by one of three routes.
+    Base 10 and a den over `_LANE_BITS` bits take the chunks.  Otherwise
+    the lanes take n past a curve over den's width, where they begin to
+    cost less (measured in base 60 from 20 to 96 bits, CPython 3.11-3.13):
+    `_LONGDIV_DIGITS` for den * base below `_ONE_DIGIT`, else
+    max(`_LANE_DIGITS`, bits(den)**2 / 20), which passes 200 digits at 64
+    bits; per-digit long division or the chunks take n up to it.
 
-    - per-digit long division outside base 10, up to `_LONGDIV_DIGITS` digits
-      with den * base < `_ONE_DIGIT`: the least set-up, one-digit ints only;
-    - else chunks, for base 10, fewer digits or a den over `_LANE_BITS`
-      bits: ``divmod(r * base**c, den)`` per c digits, spelled by ``"%d"``
+    - per-digit long division outside base 10 over a den below `_ONE_DIGIT`,
+      one int digit: the least set-up;
+    - chunks: ``divmod(r * base**c, den)`` per c digits, spelled by ``"%d"``
       (c = `_DEC_BLOCK`) or `_digits_of_int` (c digits of about bits(den)
       bits, a balanced division), so time is near linear in n;
-    - else lanes: K = isqrt(2n) + 1 long divisions side by side in byte
+    - lanes: K = isqrt(2n) + 1 long divisions side by side in byte
       fields of one integer (Lamport, CACM 1975), field j yielding digits
       j*S to (j+1)*S - 1 from r * base**(j*S) mod den, S = ceil(n / K), by
       one fixed reciprocal of den (Granlund & Montgomery, PLDI 1994); up to
@@ -809,13 +814,13 @@ def _emit_digits(out: bytearray | list, r: int, den: int, base: int, n: int) -> 
       field each, for one ``to_bytes``; a field spans about 2 * bits(den)
       bits, hence the chunks past that.
     """
-    if base != 10 and n <= _LONGDIV_DIGITS and den * base < _ONE_DIGIT:
+    if base != 10 and den < _ONE_DIGIT and n <= (_LONGDIV_DIGITS if den * base < _ONE_DIGIT else _LANE_DIGITS):
         for _ in range(n):
             r *= base
             out.append(r // den)
             r %= den
         return r
-    if base == 10 or n <= _LONGDIV_DIGITS or den.bit_length() > _LANE_BITS:
+    if base == 10 or n <= _LANE_DIGITS or (bits := den.bit_length()) > _LANE_BITS or n <= bits * bits // 20:
         c = min(n, _DEC_BLOCK if base == 10 else max(_FOLD_LEAF, den.bit_length() // base.bit_length()))
         div = _divmod if c * base.bit_length() > _DIV_BITS else divmod
         power = base**c

@@ -69,15 +69,18 @@ def frac_stream(num, den, base, count):
 
 
 def run_python(args, timeout, env=None, text=True):
-    """Run a fresh interpreter on ``args`` with the package under test on its
-    path and the variables of ``env`` added to the environment. A run still
-    going after ``timeout`` seconds is killed and raises
-    `subprocess.TimeoutExpired`, so a hang fails the test instead of
-    holding the suite. Its output is UTF-8 text, or bytes when ``text`` is
-    false."""
+    """Run a fresh interpreter on ``args`` with the package under test first
+    on its path and the variables of ``env`` added to the environment; a
+    ``PYTHONPATH`` in ``env`` comes next on the path, before the
+    environment's own. A run still going after ``timeout`` seconds is killed
+    and raises `subprocess.TimeoutExpired`, so a hang fails the test instead
+    of holding the suite. Its output is UTF-8 text, or bytes when ``text``
+    is false."""
     src = str(Path(sexagesimal.__file__).resolve().parents[1])
-    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, **(env or {}), PYTHONPATH=pythonpath)
+    env = env or {}
+    pythonpath = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH"), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, **env)
+    env["PYTHONPATH"] = pythonpath
     return subprocess.run(
         [sys.executable, *args],
         capture_output=True,

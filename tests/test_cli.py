@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import gc
 import io
 import random
 import re
@@ -187,25 +188,88 @@ def test_cli_module_entry_point():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, (DATA / "divisors_60_machine.txt").read_bytes(), b"")
 
 
+_USAGE_ERROR = "usage: sexagesimal epsilon [-h] [--p N]\nsexagesimal epsilon: error: argument --p: precision must be in 1..64\n"
+
+# one call of each exit code, with its stdout and stderr
+EXIT_CASES = {
+    "success": (["epsilon", "--p", "1"], 0, (DATA / "epsilon_1.txt").read_text(encoding="utf-8"), ""),
+    "error": (["divisors", "-5"], 1, "", "sexagesimal divisors: error (algorithms): n must be at least 2\n"),
+    "usage": (["epsilon", "--p", "0"], 2, "", _USAGE_ERROR),
+}
+
+
+@pytest.fixture
+def unfreeze():
+    # cli.run() freezes the heap of a process about to exit; this one goes on
+    yield
+    gc.unfreeze()
+
+
 # the entry points run in this process, as ``python -m`` runs them: each
-# exits with main()'s return code
+# exits with main()'s return code, and freezes the heap first
 @pytest.mark.parametrize("module", ["sexagesimal", "sexagesimal.cli"])
-@pytest.mark.parametrize(
-    "argv, code, out, err",
-    [
-        (["epsilon", "--p", "1"], 0, "1.66666666666666664e-02 (= 60^-1)\n", ""),
-        (["divisors", "-5"], 1, "", "sexagesimal divisors: error (algorithms): n must be at least 2\n"),
-    ],
-    ids=["success", "error"],
-)
-def test_entry_point_exit_codes(module, argv, code, out, err, capsys, monkeypatch):
+@pytest.mark.parametrize("case", sorted(EXIT_CASES))
+def test_entry_point_exit_codes(module, case, capsys, monkeypatch, unfreeze):
+    argv, code, out, err = EXIT_CASES[case]
     monkeypatch.setattr(sys, "argv", [module, *argv])
     if module == "sexagesimal.cli":  # else runpy warns that it is imported
         monkeypatch.delitem(sys.modules, module)
+    gc.unfreeze()
     with pytest.raises(SystemExit) as exc:
         runpy.run_module(module, run_name="__main__")
     assert exc.value.code == code
     assert capsys.readouterr() == (out, err)
+    assert gc.get_freeze_count() > 0
+
+
+def test_main_freezes_nothing(capsys):
+    # tests and in-process callers go on after main(), so only run() freezes
+    before = gc.get_freeze_count()
+    for name, argv in sorted(GOLDEN_CASES.items()):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == (DATA / f"{name}.txt").read_text(encoding="utf-8")
+        assert gc.get_freeze_count() == before, name
+    for case, (argv, code, out, err) in sorted(EXIT_CASES.items()):
+        try:
+            assert main(argv) == code
+        except SystemExit as exc:
+            assert exc.code == code
+        assert capsys.readouterr() == (out, err)
+        assert gc.get_freeze_count() == before, case
+
+
+def _console_script():
+    # what an installed console script runs: the target pyproject.toml names
+    text = (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    module, name = re.search(r'^sexagesimal = "([\w.]+):(\w+)"$', text, re.M).groups()
+    return ["-c", f"import sys; from {module} import {name}; sys.exit({name}())"]
+
+
+ENTRY_POINTS = {"module": ["-m", "sexagesimal"], "cli_module": ["-m", "sexagesimal.cli"], "script": _console_script()}
+
+# imported by site at start-up, it reports at exit whether the heap was
+# frozen, to a file, so the streams stay the entry point's own
+_FREEZE_PROBE = """import atexit, gc
+
+
+@atexit.register
+def report():
+    with open({path!r}, "w") as file:
+        file.write(str(gc.get_freeze_count() > 0))
+"""
+
+
+# each entry point in a fresh process: the heap is frozen before exit with
+# every code, and the streams and code are those of main()
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+@pytest.mark.parametrize("case", sorted(EXIT_CASES))
+def test_entry_point_freezes_the_heap_before_exit(entry, case, tmp_path):
+    argv, code, out, err = EXIT_CASES[case]
+    report = tmp_path / "frozen.txt"
+    (tmp_path / "sitecustomize.py").write_text(_FREEZE_PROBE.format(path=str(report)), encoding="utf-8")
+    proc = run_python([*ENTRY_POINTS[entry], *argv], timeout=20, env={"PYTHONPATH": str(tmp_path)}, text=False)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.encode(), err.encode())
+    assert report.read_text(encoding="utf-8") == "True"
 
 
 def test_stderr_clean_on_success(capsys):

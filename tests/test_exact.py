@@ -25,6 +25,7 @@ from sexagesimal.exact import (
     _DEC_BLOCK,
     _DIV_BITS,
     _LANE_BITS,
+    _LANE_DIGITS,
     _LONGDIV_DIGITS,
     _ONE_DIGIT,
     _TRANSLATE_DIGITS,
@@ -1320,19 +1321,40 @@ class TestEmitDigits:
             assert _emit_digits(walk, r, den, base, n) == r * pow(base, n, den) % den
             assert list(walk) == [99] + stream[:n], n
 
-    # a den either side of the widest that per-digit long division takes
-    # (den * base < _ONE_DIGIT) and of the widest the lanes take, with n
-    # either side of the most digits per-digit long division emits
+    # a den either side of the widest whose products per-digit long division
+    # keeps in one int digit (den * base < _ONE_DIGIT), of the widest it
+    # takes (a one-digit den) and of the widest the lanes take, with n either
+    # side of the most digits per-digit long division emits for each
     @pytest.mark.parametrize("base", [7, 60, 256])
     def test_either_side_of_the_cutoffs(self, base):
         widest = (_ONE_DIGIT - 1) // base
-        for den in (widest, widest + 1, 2**_LANE_BITS - 1, 2**_LANE_BITS + 1):
+        for den in (widest, widest + 1, _ONE_DIGIT - 1, _ONE_DIGIT, 2**_LANE_BITS - 1, 2**_LANE_BITS + 1):
             r = random.Random(den).randrange(den)
             stream = frac_stream(r, den, base, 2 * _LONGDIV_DIGITS)
-            for n in (1, _LONGDIV_DIGITS - 1, _LONGDIV_DIGITS, _LONGDIV_DIGITS + 1, 2 * _LONGDIV_DIGITS):
+            for n in sorted({1, _LANE_DIGITS, _LANE_DIGITS + 1, _LONGDIV_DIGITS - 1, _LONGDIV_DIGITS,
+                             _LONGDIV_DIGITS + 1, 2 * _LONGDIV_DIGITS}):
                 walk = bytearray()
                 assert _emit_digits(walk, r, den, base, n) == r * pow(base, n, den) % den
                 assert list(walk) == stream[:n], (den, n)
+
+    # the route curve over den's width: at 25 and 28 bits (one int digit,
+    # but not den * base) 120 digits take per-digit long division and 150
+    # and 200 the lanes, at 31 bits 120 take chunks and 150 and 200 the
+    # lanes, where the chunks cost up to 1.5x the route taken; every route
+    # gives the digits and remainder of the chunks, forced here for every den
+    @pytest.mark.parametrize("bits", [25, 28, 31])
+    @pytest.mark.parametrize("n", [120, 150, 200])
+    def test_route_curve_against_chunks(self, bits, n, monkeypatch):
+        rng = random.Random(100 * bits + n)
+        den = rng.getrandbits(bits) | 1 << (bits - 1) | 1
+        r = rng.randrange(den)
+        shipped = bytearray()
+        rest = _emit_digits(shipped, r, den, 60, n)
+        monkeypatch.setattr(exact, "_ONE_DIGIT", 1)
+        monkeypatch.setattr(exact, "_LANE_BITS", 0)
+        chunked = bytearray()
+        assert _emit_digits(chunked, r, den, 60, n) == rest == r * pow(60, n, den) % den
+        assert shipped == chunked and list(chunked) == frac_stream(r, den, 60, n)
 
 
 def _lane_edges(k):
@@ -1347,9 +1369,10 @@ def _lane_edges(k):
 
 
 class TestEmitLanes:
-    # past _LONGDIV_DIGITS digits every base but 10 runs isqrt(2n) + 1 long
-    # divisions side by side in the fields of one integer, for a den of up to
-    # _LANE_BITS bits; field widths follow den and base, so cover byte-sized
+    # past the route curve (128 to 460 digits, by den's width) every base but
+    # 10 runs isqrt(2n) + 1 long divisions side by side in the fields of one
+    # integer, for a den of up to _LANE_BITS bits; field widths follow den
+    # and base, so cover byte-sized
     # and 256-ary digits.  The same draws reach per-digit long division and
     # chunks, for fewer digits and for wider dens.
     @given(
