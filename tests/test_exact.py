@@ -7,6 +7,7 @@ import itertools
 import math
 import pickle
 import random
+import statistics
 import sys
 import time
 import tracemalloc
@@ -1167,8 +1168,7 @@ class TestWithinBudget:
         v = rng.randrange(60 ** (n - 1), 60**n) | 1  # odd, so the fraction stays over 60**5000's 2**10000
         x = Fraction(v, 60**f)
         assert to_sexagesimal(x, f)[0].digits == tuple(_digits_of_int(v))
-        convert, kernel = _best_of(lambda: to_sexagesimal(x, f), lambda: _digits_of_int(v))
-        assert convert <= 1.2 * kernel
+        assert _median_ratio(lambda: to_sexagesimal(x, f), lambda: _digits_of_int(v)) <= 1.2
 
 
 class TestPeriodStateBound:
@@ -1522,9 +1522,11 @@ class TestRepetendRoutes:
         assert [int(d) for d in digits60.split()] == frac_stream(1, 30_000_023, 60, 64)
         assert [int(d) for d in digits10.split()] == frac_stream(1, 30_000_023, 10, 64)
 
-    # glibc's own mmap threshold rises to each mapped block it frees, so a
-    # period's 8 MB tuple went to the heap or to a new mapping by the sizes
-    # of those freed before; a period of 1 << 17 digits or more fixes both
+    # glibc's own mmap threshold rises to each mapped block it frees, so the
+    # tuple that a first read of a long ``Expansion.period`` builds (8 MB at
+    # 10**6 digits) went to the heap or to a new mapping by the sizes of those
+    # freed before; finding a period of 1 << 17 digits or more, in either
+    # base, fixes both thresholds, with the same values each time
     @pytest.mark.parametrize("den, fixed", [(7, False), (130_859, False), (131_149, True)])
     def test_long_period_fixes_the_heap_thresholds(self, den, fixed, monkeypatch):
         ctypes = pytest.importorskip("ctypes")
@@ -1539,23 +1541,9 @@ class TestRepetendRoutes:
         monkeypatch.setattr(ctypes, "CDLL", Libc)
         assert len(to_decimal(Fraction(1, den)).period) == den - 1
         assert calls == ([(-3, 16 << 20), (-1, 32 << 20)] if fixed else [])
-
-    # the thresholds hold for the whole process: a second long expansion,
-    # in either base, loads no C library and calls no mallopt
-    def test_heap_thresholds_are_set_once(self, monkeypatch):
-        ctypes = pytest.importorskip("ctypes")
-        loads, calls = [], []
-
-        class Libc:
-            def __init__(self, name):
-                loads.append(name)
-
-            def mallopt(self, param, value):
-                calls.append((param, value))
-        monkeypatch.setattr(ctypes, "CDLL", Libc)
-        for x in (Fraction(1, 131_149), Fraction(2, 131_149), Fraction(1, 999_983)):
-            assert to_decimal(x).complete and to_sexagesimal(x, 8, detect_repetend=True)[1].complete
-        assert loads == [None] and calls == [(-3, 16 << 20), (-1, 32 << 20)]
+        # 131113 has a base-60 period of 131112 digits
+        assert len(to_sexagesimal(Fraction(1, 131_113), 8, detect_repetend=True)[1].period) == 131_112
+        assert calls == [(-3, 16 << 20), (-1, 32 << 20)] * (2 if fixed else 1)
 
     def test_heap_thresholds_without_a_c_library(self, monkeypatch):
         ctypes = pytest.importorskip("ctypes")
@@ -1769,6 +1757,21 @@ def _best_of(*calls, rounds=5):
     return best
 
 
+def _median_ratio(call, against, rounds=21):
+    # the median over rounds of call's time over against's in the same
+    # round: a spell of the host that runs both slow or fast cancels in its
+    # round, and a lone fast call is one ratio of 21, where a best of rounds
+    # keeps it
+    ratios = []
+    for _ in range(rounds):
+        start = time.perf_counter()
+        call()
+        mid = time.perf_counter()
+        against()
+        ratios.append((mid - start) / (time.perf_counter() - mid))
+    return statistics.median(ratios)
+
+
 class TestRendering:
     @given(rationals(max_num=10**9, max_den=10**4), st.integers(0, 12), st.booleans(), st.sampled_from([10, 60]))
     def test_expansion_text_against_naive_join(self, x, max_frac, detect, base):
@@ -1821,8 +1824,7 @@ class TestRendering:
             expand = lambda: to_sexagesimal(x, 8, detect_repetend=True)[1]  # noqa: E731
         info = expand()
         assert len(info.period) == 999982
-        render, expansion = _best_of(lambda: str(info), expand)
-        assert render <= expansion
+        assert _median_ratio(lambda: str(info), expand) <= 1
         assert str(info) == _naive_text(info)
 
 
